@@ -24,11 +24,20 @@ pub struct Config {
     pub trace: bool,
     /// Offered rate of the `serve` open-loop phase, requests per second.
     pub offered_rate: f64,
-    /// BFS threads and serve connections: the machine's parallelism.
+    /// The machine's parallelism: the thread count of the traced run's
+    /// parallel BFS rebuild (`marking.t1_over_tn`).
     pub nproc: usize,
     /// Where the traced run writes its spans.
     pub out_dir: PathBuf,
 }
+
+/// BFS threads of every timed analysis, one-shot and served.  On a
+/// machine of a few shared cores a second BFS thread mostly measures the
+/// scheduler: it added about 5 ms of thread start-up and wake-up to
+/// every small analysis, and whenever the host took time from the second
+/// core it doubled the population's median.  The traced run times the
+/// parallel BFS separately.
+pub const BFS_THREADS: usize = 1;
 
 /// Time `f` `reps` times; the median seconds and the last result.  Each
 /// repetition's result is dropped before the next one runs, so at most
@@ -54,11 +63,14 @@ pub struct EndToEnd {
     pub ops_per_s: f64,
     /// Latencies of the timed operations, milliseconds.
     pub latencies_ms: Vec<f64>,
+    /// Percentiles of `tail_ms` and `warm_tail_ms` (see [`stats::tail_at`]).
+    pub tail_pcts: [f64; 2],
     /// Latencies of warm operations (structure reused), milliseconds.
     pub warm_ms: Vec<f64>,
     /// Latencies of cold operations (structure built), milliseconds.
     pub cold_ms: Vec<f64>,
-    /// Peak resident memory when the timed phases ended, MiB.
+    /// Peak resident memory of the timed phases (`serve`: of its open
+    /// loop), MiB.
     pub peak_rss_mib: f64,
 }
 
@@ -66,8 +78,8 @@ impl EndToEnd {
     /// Push every end-to-end metric into `out` (whose counts [`finish`]
     /// has set), and the tail provenance into `header`.
     pub fn emit(&self, out: &mut Outcome, header: &mut Vec<(String, String)>) {
-        let tail = stats::tail(&self.latencies_ms);
-        let warm_tail = stats::tail(&self.warm_ms);
+        let tail = stats::tail_at(&self.latencies_ms, self.tail_pcts[0]);
+        let warm_tail = stats::tail_at(&self.warm_ms, self.tail_pcts[1]);
         let ok = (out.attempted - out.failed) as f64 / out.attempted.max(1) as f64;
         out.push("setup_s", self.setup_s, "s");
         out.push("ops_per_s", self.ops_per_s, "1/s");
@@ -229,14 +241,12 @@ pub fn emit_layers(tr: &Tracer, extras: &LayerExtras, out: &mut Outcome) {
         tr.counter("marking.arena_bytes") / builds / MIB,
         "MiB",
     );
-    let t1 = tr.total_ms("marking.t1");
+    // The analyses build with one BFS thread; their parallel rebuilds
+    // (`marking.tn`, nproc threads) give the speedup.
+    let tn = tr.total_ms("marking.tn");
     out.push(
         "marking.t1_over_tn",
-        if marking_ms > 0.0 {
-            t1 / marking_ms
-        } else {
-            0.0
-        },
+        if tn > 0.0 { marking_ms / tn } else { 0.0 },
         "ratio",
     );
 
@@ -369,6 +379,7 @@ mod tests {
             setup_s: 0.5,
             ops_per_s: 10.0,
             latencies_ms: vec![1.0, 2.0, 3.0],
+            tail_pcts: [95.0, 90.0],
             warm_ms: vec![1.0],
             cold_ms: vec![3.0],
             peak_rss_mib: 100.0,

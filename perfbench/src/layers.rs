@@ -106,7 +106,7 @@ fn marking_options(threads: usize) -> MarkingOptions {
 }
 
 /// Refill, solve and aggregate on `graph`, untraced: the throughput of the
-/// 1-thread cross-check.
+/// rebuild cross-check.
 fn solve_on(graph: &Graph<'_>, trans_rates: &[f64], last: &[usize]) -> f64 {
     let ctmc = graph.refill(trans_rates);
     let report = ctmc
@@ -115,7 +115,7 @@ fn solve_on(graph: &Graph<'_>, trans_rates: &[f64], last: &[usize]) -> f64 {
     graph.throughput(trans_rates, &report.pi, last)
 }
 
-/// Inputs of a cold Strict build, kept for the 1-thread cross-check.
+/// Inputs of a cold Strict build, kept for the rebuild cross-check.
 struct ColdBuild {
     key: Vec<usize>,
     net: EventNet,
@@ -125,42 +125,43 @@ struct ColdBuild {
 }
 
 /// Run one analysis of `system` layer by layer under spans of request
-/// `req`, all inside one `op` span.  With `t1_check`, a cold Strict build
-/// is then repeated with one BFS thread (span `marking.t1`, outside
-/// `op`) and solved again; the two throughputs must agree bit for bit.
+/// `req`, all inside one `op` span, with `threads` BFS threads.  With
+/// `rebuild_threads`, a cold Strict build is then repeated with that many
+/// BFS threads (span `marking.tn`, outside `op`) and solved again; the
+/// two throughputs must agree bit for bit.
 pub fn traced_analysis(
     system: &System,
     threads: usize,
     cache: &mut LayerCache,
     tr: &mut Tracer,
     req: u64,
-    t1_check: bool,
+    rebuild_threads: Option<usize>,
 ) -> Result<Analysis, String> {
     let op = tr.begin("op", req);
     let body = analyse(system, threads, cache, tr, req);
     tr.end(op);
     let (analysis, cold) = body?;
-    if let (true, Some(cold)) = (t1_check, cold) {
+    if let (Some(n), Some(cold)) = (rebuild_threads, cold) {
         let entry = &cache.strict[&cold.key];
-        let rho1 = if cold.direct {
+        let rho = if cold.direct {
             let sym = entry.sym.as_ref().expect("direct path has a symmetry");
             let q = tr
-                .span("marking.t1", req, || {
-                    QuotientGraph::build(&cold.net, sym, marking_options(1))
+                .span("marking.tn", req, || {
+                    QuotientGraph::build(&cold.net, sym, marking_options(n))
                 })
-                .map_err(|e| format!("1-thread quotient BFS: {e}"))?;
+                .map_err(|e| format!("{n}-thread quotient BFS: {e}"))?;
             solve_on(&Graph::Quotient(&q), &cold.trans_rates, &cold.last)
         } else {
             let g = tr
-                .span("marking.t1", req, || {
-                    MarkingGraph::build(&cold.net, marking_options(1))
+                .span("marking.tn", req, || {
+                    MarkingGraph::build(&cold.net, marking_options(n))
                 })
-                .map_err(|e| format!("1-thread marking BFS: {e}"))?;
+                .map_err(|e| format!("{n}-thread marking BFS: {e}"))?;
             solve_on(&Graph::Full(&g), &cold.trans_rates, &cold.last)
         };
-        if rho1.to_bits() != analysis.strict.to_bits() {
+        if rho.to_bits() != analysis.strict.to_bits() {
             return Err(format!(
-                "1-thread throughput {rho1:e} differs from {threads}-thread {:e}",
+                "{n}-thread throughput {rho:e} differs from {threads}-thread {:e}",
                 analysis.strict
             ));
         }

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release --manifest-path perfbench/Cargo.toml -- \
-//!     --workload oneshot|serve|scale --seed N --seconds S --trace 0|1 \
+//!     --workload oneshot|serve --seed N --seconds S --trace 0|1 \
 //!     [--offered-rate R]
 //! ```
 //!
@@ -20,7 +20,6 @@ mod emit;
 mod layers;
 mod oneshot;
 mod rng;
-mod scale;
 mod schedule;
 mod serve;
 mod stats;
@@ -33,9 +32,9 @@ use std::path::{Path, PathBuf};
 
 /// Offered rate of the `serve` open-loop phase when the command line
 /// gives none (requests per second; `BENCHMARK.json` passes the same).
-const DEFAULT_OFFERED_RATE: f64 = 8.0;
+const DEFAULT_OFFERED_RATE: f64 = 6.0;
 
-const USAGE: &str = "usage: perfbench --workload oneshot|serve|scale --seed N \
+const USAGE: &str = "usage: perfbench --workload oneshot|serve --seed N \
                      --seconds S --trace 0|1 [--offered-rate R]";
 
 fn parse_args(args: &[String]) -> Result<Config, String> {
@@ -82,7 +81,7 @@ fn parse_args(args: &[String]) -> Result<Config, String> {
         }
     }
     let workload = workload.ok_or("missing --workload")?;
-    if !["oneshot", "serve", "scale"].contains(&workload.as_str()) {
+    if !["oneshot", "serve"].contains(&workload.as_str()) {
         return Err(format!("unknown workload {workload}"));
     }
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -196,6 +195,7 @@ fn main() {
         ("rev".into(), git_rev(root)),
         ("source_fnv".into(), source_fingerprint(root)),
         ("nproc".into(), cfg.nproc.to_string()),
+        ("bfs_threads".into(), common::BFS_THREADS.to_string()),
         ("cpu".into(), cpu_model()),
         ("rustc".into(), env!("PERFBENCH_RUSTC").to_string()),
         ("offered_rate".into(), format!("{} req/s", cfg.offered_rate)),
@@ -204,7 +204,6 @@ fn main() {
     match cfg.workload.as_str() {
         "oneshot" => oneshot::run(&cfg, &mut out, &mut header),
         "serve" => serve::run(&cfg, &mut out, &mut header),
-        "scale" => scale::run(&cfg, &mut out, &mut header),
         _ => unreachable!("workload validated by parse_args"),
     }
     for (k, v) in &header {
@@ -233,7 +232,7 @@ mod tests {
             ("serve", 7, 10.0, true)
         );
         assert_eq!(c.offered_rate, 5.0);
-        let c = parse_args(&args("--workload scale --seed 1 --seconds 3 --trace 0")).unwrap();
+        let c = parse_args(&args("--workload oneshot --seed 1 --seconds 3 --trace 0")).unwrap();
         assert_eq!(c.offered_rate, DEFAULT_OFFERED_RATE);
     }
 
@@ -242,12 +241,13 @@ mod tests {
         for bad in [
             "",
             "--workload nope --seed 1 --seconds 1 --trace 0",
-            "--workload scale --seed -1 --seconds 1 --trace 0",
-            "--workload scale --seed 1 --seconds 0 --trace 0",
-            "--workload scale --seed 1 --seconds 1 --trace 2",
-            "--workload scale --seed 1 --seconds 1",
-            "--workload scale --seed 1 --seconds 1 --trace 0 --bogus",
-            "--workload scale --seed",
+            "--workload scale --seed 1 --seconds 1 --trace 0",
+            "--workload oneshot --seed -1 --seconds 1 --trace 0",
+            "--workload oneshot --seed 1 --seconds 0 --trace 0",
+            "--workload oneshot --seed 1 --seconds 1 --trace 2",
+            "--workload oneshot --seed 1 --seconds 1",
+            "--workload oneshot --seed 1 --seconds 1 --trace 0 --bogus",
+            "--workload oneshot --seed",
         ] {
             assert!(parse_args(&args(bad)).is_err(), "{bad:?} accepted");
         }

@@ -1,6 +1,6 @@
 //! `oneshot`: a seeded population of mid-size systems, each analysed
-//! cold — fresh chain cache, BFS threads = nproc — through the calls
-//! `repstream analyze` makes after parsing
+//! cold — fresh chain cache, one BFS thread ([`common::BFS_THREADS`]) —
+//! through the calls `repstream analyze` makes after parsing
 //! (`timing::validate_service_times`, `report::system_report_status`),
 //! by one closed-loop caller.
 //!
@@ -8,7 +8,7 @@
 //! draws fresh rate tables, so the statistics average over many draws
 //! of each shape rather than riding on one draw's solver iterations.
 //! The timed phase runs whole passes until the measured seconds are used
-//! up; `ops_per_s` is the median rate of the passes' cold analyses.
+//! up; `ops_per_s` is the number of cold analyses over their total time.
 //! Each pass also re-analyses the population's largest shape,
 //! heterogeneous 4×5, [`WARM_PER_PASS`] times with fresh rate tables
 //! against a cache the set-up primed with its structure — the serve hot
@@ -38,14 +38,19 @@ use repstream::markov::govern::Budget;
 use std::time::{Duration, Instant};
 
 /// Warm re-analyses of the warm shape per pass.
-const WARM_PER_PASS: usize = 3;
+const WARM_PER_PASS: usize = 4;
+
+/// Percentiles of `tail_ms` and `warm_tail_ms`: a run of the benchmark's
+/// length takes at least about 40 passes, so 800 cold and 160 warm
+/// samples, which leave ten or more beyond p95 and p90.
+const TAIL_PCTS: [f64; 2] = [95.0, 90.0];
 
 /// The warm shape: the population's largest, heterogeneous 4×5.
 const WARM_SHAPE: usize = ONESHOT.len() - 1;
 
 /// Set-up repetitions (first pass's inputs and the warm cache's priming);
 /// `setup_s` is their median.
-const SETUP_REPS: usize = 3;
+const SETUP_REPS: usize = 5;
 
 /// Traced passes over the population (the first timed passes' systems).
 const TRACED_PASSES: usize = 2;
@@ -87,7 +92,7 @@ fn valid(cold: &[System], warm: &[System]) -> bool {
 /// Run the workload.
 pub fn run(cfg: &Config, out: &mut Outcome, header: &mut Vec<(String, String)>) {
     let opts = ReportOptions {
-        threads: cfg.nproc,
+        threads: common::BFS_THREADS,
         ..Default::default()
     };
     // Set-up: the first pass's inputs, and the warm cache primed with the
@@ -114,23 +119,23 @@ pub fn run(cfg: &Config, out: &mut Outcome, header: &mut Vec<(String, String)>) 
     let mut texts: Vec<Vec<String>> = Vec::new();
     let budget = Duration::from_secs_f64(cfg.seconds);
     let t_phase = Instant::now();
-    let mut pass_rates = Vec::new();
+    let mut passes = 0usize;
+    let mut cold_s = 0.0;
     let mut traced_draws: Vec<Vec<System>> = Vec::new();
     let mut next = Some((first_cold, first_warm_draws));
-    while pass_rates.is_empty() || t_phase.elapsed() < budget {
-        let p = pass_rates.len();
+    while passes == 0 || t_phase.elapsed() < budget {
+        let p = passes;
         let (cold_draws, warm_draws) = next.take().unwrap_or_else(|| draw_pass(cfg.seed, p));
         if p > 0 && !valid(&cold_draws, &warm_draws) {
             failed += 1;
             failures.push(format!("pass {p}: invalid service times"));
         }
         let mut pass_texts = Vec::new();
-        let mut pass_s = 0.0;
         for (i, sys) in cold_draws.iter().enumerate() {
             let t = Instant::now();
             let (text, status) = analyze(sys, opts, &mut stats_cold);
             let s = t.elapsed().as_secs_f64();
-            pass_s += s;
+            cold_s += s;
             latencies.push(s * 1e3);
             attempted += 1;
             let bad = check::report(&text, status, Expect::Ok, check::max_rate(sys));
@@ -140,7 +145,7 @@ pub fn run(cfg: &Config, out: &mut Outcome, header: &mut Vec<(String, String)>) 
             }
             pass_texts.push(text);
         }
-        pass_rates.push(ONESHOT.len() as f64 / pass_s);
+        passes += 1;
         for sys in &warm_draws {
             let t = Instant::now();
             let (text, status) = system_report_with(sys, opts, &mut warm_cache);
@@ -160,7 +165,6 @@ pub fn run(cfg: &Config, out: &mut Outcome, header: &mut Vec<(String, String)>) 
             traced_draws.push(cold_draws);
         }
     }
-    let passes = pass_rates.len();
     let (warm_sys, text, status) = first_warm.expect("every pass has warm analyses");
     if system_report_status(&warm_sys, opts) != (text, status) {
         failed += 1;
@@ -180,8 +184,9 @@ pub fn run(cfg: &Config, out: &mut Outcome, header: &mut Vec<(String, String)>) 
         common::finish(out, header, attempted, failed, failures);
         let e2e = EndToEnd {
             setup_s,
-            ops_per_s: stats::median(&pass_rates),
+            ops_per_s: latencies.len() as f64 / cold_s,
             latencies_ms: latencies.clone(),
+            tail_pcts: TAIL_PCTS,
             warm_ms: warm,
             cold_ms: latencies,
             peak_rss_mib,
@@ -197,7 +202,15 @@ pub fn run(cfg: &Config, out: &mut Outcome, header: &mut Vec<(String, String)>) 
         for (i, (sys, text)) in systems.iter().zip(pass_texts).enumerate() {
             attempted += 1;
             let mut cache = LayerCache::default();
-            let ok = match layers::traced_analysis(sys, cfg.nproc, &mut cache, &mut tr, req, true) {
+            let traced = layers::traced_analysis(
+                sys,
+                common::BFS_THREADS,
+                &mut cache,
+                &mut tr,
+                req,
+                Some(cfg.nproc),
+            );
+            let ok = match traced {
                 Ok(a) => {
                     let wire = common::wire_roundtrip(&mut tr, req, sys, text, ReportStatus::Ok);
                     check::strict_throughput(text) == format!("{:.6}", a.strict).parse().ok()

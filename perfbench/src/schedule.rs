@@ -120,22 +120,18 @@ pub fn lateness(due_s: &[f64], sent_s: &[f64], rate: f64) -> (f64, bool) {
     (p99, p99 > 1.0 / rate)
 }
 
-/// Completion rate of each whole block of a closed-loop phase: block `k`
-/// ends at the `(k + 1) · block`-th completion, and its rate is `block`
-/// requests over the time since the previous block ended (or since the
-/// phase started, for the first).
-pub fn block_rates(done_s: &[f64], block: usize) -> Vec<f64> {
-    let mut done = done_s.to_vec();
-    done.sort_by(f64::total_cmp);
-    let mut prev = 0.0;
-    done.chunks_exact(block)
-        .map(|c| {
-            let end = c[block - 1];
-            let rate = block as f64 / (end - prev);
-            prev = end;
-            rate
-        })
-        .collect()
+/// Completion rate of a closed-loop phase: the requests completed over
+/// the time until the last of them completed (`0` for none).  A mean
+/// over the whole phase rather than a median of block rates: the host's
+/// slow spells last seconds, and a median of a few blocks snaps to
+/// whichever speed held most of them.
+pub fn phase_rate(done_s: &[f64]) -> f64 {
+    let end = done_s.iter().fold(0.0f64, |m, &d| m.max(d));
+    if end > 0.0 {
+        done_s.len() as f64 / end
+    } else {
+        0.0
+    }
 }
 
 #[cfg(test)]
@@ -176,11 +172,10 @@ mod tests {
     }
 
     #[test]
-    fn block_rates_cover_whole_blocks_only() {
-        // Two requests per block; completions out of order.
-        let rates = block_rates(&[0.5, 1.0, 3.0, 2.0, 3.5], 2);
-        assert_eq!(rates, vec![2.0, 1.0]);
-        assert!(block_rates(&[1.0], 2).is_empty());
+    fn phase_rate_spans_the_whole_phase() {
+        // Completions out of order; the phase ends with the last one.
+        assert_eq!(phase_rate(&[0.5, 2.0, 1.0, 4.0]), 1.0);
+        assert_eq!(phase_rate(&[]), 0.0);
     }
 
     #[test]

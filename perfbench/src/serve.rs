@@ -1,6 +1,10 @@
 //! `serve`: an in-process `serve::Server` driven over TCP by this one
-//! process through at most `nproc` connections, none of them idle (a
-//! connection pins a worker until it closes).
+//! process through [`CONNECTIONS`] connection, never idle (a connection
+//! pins a worker until it closes).  One connection, and one BFS thread
+//! per analysis ([`common::BFS_THREADS`]), keep the run from measuring
+//! the scheduler of a machine with a few shared cores: with two
+//! connections on two cores, which requests happened to overlap moved
+//! the latency medians and the peak memory by 20–35 % from run to run.
 //!
 //! Four classes ([`Class`]): *hot* — a few warm shapes, mostly
 //! heterogeneous 4×5, each request with a fresh rate table so that only
@@ -10,8 +14,7 @@
 //! caches.  Two phases: an open loop at the offered rate given on the
 //! command line (latency timed from each request's due time, generator
 //! lateness reported), then a closed-loop saturation phase of whole
-//! blocks of the class mix; `ops_per_s` is the median completion rate of
-//! its blocks.
+//! blocks of the class mix; `ops_per_s` is its completion rate.
 //!
 //! Every response is checked afterwards against an uncontended
 //! in-process replay of the same request sequence on a private cache
@@ -43,16 +46,28 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Client connections of both phases, and server workers.  Every
+/// connection is served by one worker, so one worker serves them all: with
+/// a second, idle one, which worker took a connection decided which
+/// thread's allocator arena held the chains' buffers, and the peak memory
+/// jumped by 20–30 MiB on some runs.
+const CONNECTIONS: usize = 1;
+
 /// Set-ups per run (server bind + priming); `setup_s` is their median.
-const SETUP_REPS: usize = 3;
+const SETUP_REPS: usize = 5;
 
 /// Blocks of the class mix in the open loop: enough to send every
 /// open-loop cold shape exactly once.
 const OPEN_BLOCKS: usize = systems::COLD_OPEN.len() / schedule::per_block(Class::Cold);
 
+/// Percentiles of `tail_ms` and `warm_tail_ms`: the open loop always
+/// sends 120 requests, 90 of them hot, which leave ten or more beyond p90
+/// and p75.
+const TAIL_PCTS: [f64; 2] = [90.0, 75.0];
+
 /// Requests prepared for the saturation phase (it stops early if they
 /// run out).
-const SATURATION_REQUESTS: usize = 600;
+const SATURATION_REQUESTS: usize = 1000;
 
 /// One prepared request.
 struct Prepared {
@@ -105,12 +120,12 @@ fn start(workers: usize, primes: &[System]) -> Result<Running, String> {
     let primed = Client::connect(addr)
         .map_err(|e| e.to_string())
         .and_then(|mut c| {
-            primes.iter().try_for_each(|sys| {
-                match c.call(&analyze(sys.clone(), WireOptions::default())) {
+            primes
+                .iter()
+                .try_for_each(|sys| match c.call(&analyze(sys.clone(), wire_options())) {
                     Ok(Response::Analyze(_)) => Ok(()),
                     other => Err(format!("prime answered {other:?}")),
-                }
-            })
+                })
         });
     match primed {
         Ok(()) => Ok(running),
@@ -120,6 +135,14 @@ fn start(workers: usize, primes: &[System]) -> Result<Running, String> {
             let _ = running.stop();
             Err(e)
         }
+    }
+}
+
+/// The options of every analyze request: one BFS thread.
+fn wire_options() -> WireOptions {
+    WireOptions {
+        threads: common::BFS_THREADS,
+        ..Default::default()
     }
 }
 
@@ -140,19 +163,19 @@ fn prepare(
             counters[0] += 1;
             analyze(
                 systems::hot_shape(counters[0] - 1).draw(rng),
-                WireOptions::default(),
+                wire_options(),
             )
         }
         Class::Cold => {
             counters[1] += 1;
             let teams = &cold_pool[(counters[1] - 1) % cold_pool.len()];
-            analyze(systems::system(teams, false, rng), WireOptions::default())
+            analyze(systems::system(teams, false, rng), wire_options())
         }
         Class::Deadline => analyze(
             systems::DEADLINE.draw(rng),
             WireOptions {
                 deadline_ms: Some(0),
-                ..Default::default()
+                ..wire_options()
             },
         ),
         Class::Search => Request::Search(systems::search_request(rng)),
@@ -256,7 +279,7 @@ impl Replayer {
     fn new(primes: &[System]) -> Replayer {
         let cache = SharedChainCache::new();
         for sys in primes {
-            system_report_shared(sys, report_options(&WireOptions::default()), &cache);
+            system_report_shared(sys, report_options(&wire_options()), &cache);
         }
         Replayer {
             cache,
@@ -378,7 +401,7 @@ fn set_up(cfg: &Config) -> Result<(Inputs, Running), String> {
         .iter()
         .map(|&c| prepare(c, &mut rng, &mut counters, &sat_cold))
         .collect();
-    let running = start(cfg.nproc, &primes)?;
+    let running = start(CONNECTIONS, &primes)?;
     let inputs = Inputs {
         primes,
         due_s: slots.iter().map(|s| s.due_s).collect(),
@@ -392,7 +415,6 @@ fn set_up(cfg: &Config) -> Result<(Inputs, Running), String> {
 
 /// Run the workload.
 pub fn run(cfg: &Config, out: &mut Outcome, header: &mut Vec<(String, String)>) {
-    let connections = cfg.nproc;
     // The open loop lasts as long as its blocks take at the offered rate;
     // the saturation phase gets the rest of the measured seconds, and at
     // least two fifths of them.
@@ -419,12 +441,23 @@ pub fn run(cfg: &Config, out: &mut Outcome, header: &mut Vec<(String, String)>) 
         sat_pool,
     } = inputs;
 
-    // The primed hot shapes against real one-shot reports (untimed).
+    // Open loop at the offered rate, then saturation.
+    let (open_done, _) = drive(running.addr, CONNECTIONS, &open, Some(&due), f64::INFINITY);
+    // Peak memory of the open loop, whose requests are fixed: every cold
+    // shape the saturation phase sends stays in the cache, so a peak taken
+    // after it would grow with the number of blocks the machine fitted
+    // into the measured seconds.
+    let peak_rss_mib = common::peak_rss_mib();
+    let (sat_done, sat_end) = drive(running.addr, CONNECTIONS, &sat, None, sat_s);
+
+    // The primed hot shapes against real one-shot reports, after the
+    // timed phases: a cold one-shot report in this process would otherwise
+    // set the peak memory of the open loop.
     {
         let mut c = Client::connect(running.addr).expect("server accepts connections");
         for sys in &primes {
-            let served = c.call(&analyze(sys.clone(), WireOptions::default()));
-            let oneshot = system_report_status(sys, report_options(&WireOptions::default()));
+            let served = c.call(&analyze(sys.clone(), wire_options()));
+            let oneshot = system_report_status(sys, report_options(&wire_options()));
             match served {
                 Ok(Response::Analyze(a)) if (a.text.clone(), a.status) == oneshot => {}
                 _ => {
@@ -434,10 +467,6 @@ pub fn run(cfg: &Config, out: &mut Outcome, header: &mut Vec<(String, String)>) 
             }
         }
     }
-
-    // Open loop at the offered rate, then saturation.
-    let (open_done, _) = drive(running.addr, connections, &open, Some(&due), f64::INFINITY);
-    let (sat_done, sat_end) = drive(running.addr, connections, &sat, None, sat_s);
 
     let stats = {
         let mut c = Client::connect(running.addr).expect("server accepts connections");
@@ -450,7 +479,6 @@ pub fn run(cfg: &Config, out: &mut Outcome, header: &mut Vec<(String, String)>) 
         failed += 1;
         failures.push(e);
     }
-    let peak_rss_mib = common::peak_rss_mib();
     for _ in 1..SETUP_REPS {
         let t = Instant::now();
         let again = set_up(cfg);
@@ -520,8 +548,8 @@ pub fn run(cfg: &Config, out: &mut Outcome, header: &mut Vec<(String, String)>) 
             .filter(|a| sat[a.index].class == Class::Cold)
             .count()
             .saturating_sub(sat_pool);
-    header.push(("connections".into(), connections.to_string()));
-    header.push(("workers".into(), cfg.nproc.to_string()));
+    header.push(("connections".into(), CONNECTIONS.to_string()));
+    header.push(("workers".into(), CONNECTIONS.to_string()));
     header.push((
         "open_loop".into(),
         format!("{} requests over {open_s} s", open.len()),
@@ -551,11 +579,9 @@ pub fn run(cfg: &Config, out: &mut Outcome, header: &mut Vec<(String, String)>) 
 
     let e2e = EndToEnd {
         setup_s,
-        ops_per_s: stats::median(&schedule::block_rates(
-            &sat_done.iter().map(|a| a.done_s).collect::<Vec<_>>(),
-            schedule::BLOCK,
-        )),
+        ops_per_s: schedule::phase_rate(&sat_done.iter().map(|a| a.done_s).collect::<Vec<_>>()),
         latencies_ms: from_due(None),
+        tail_pcts: TAIL_PCTS,
         warm_ms: from_due(Some(Class::Hot)),
         cold_ms: from_due(Some(Class::Cold)),
         peak_rss_mib,
@@ -571,7 +597,9 @@ pub fn run(cfg: &Config, out: &mut Outcome, header: &mut Vec<(String, String)>) 
     let mut cache = LayerCache::default();
     let mut priming = Tracer::new();
     for sys in &primes {
-        if let Err(e) = layers::traced_analysis(sys, 0, &mut cache, &mut priming, 0, false) {
+        if let Err(e) =
+            layers::traced_analysis(sys, common::BFS_THREADS, &mut cache, &mut priming, 0, None)
+        {
             failed += 1;
             failures.push(format!("traced prime: {e}"));
         }
@@ -588,7 +616,15 @@ pub fn run(cfg: &Config, out: &mut Outcome, header: &mut Vec<(String, String)>) 
         }
         attempted += 1;
         let id = a.index as u64;
-        let ok = match layers::traced_analysis(&req.system, 0, &mut cache, &mut tr, id, true) {
+        let traced = layers::traced_analysis(
+            &req.system,
+            common::BFS_THREADS,
+            &mut cache,
+            &mut tr,
+            id,
+            Some(cfg.nproc),
+        );
+        let ok = match traced {
             Ok(an) => {
                 let wire = common::wire_roundtrip(&mut tr, id, &req.system, &got.text, got.status);
                 check::strict_throughput(&got.text) == format!("{:.6}", an.strict).parse().ok()

@@ -83,6 +83,30 @@ pub fn tail(samples: &[f64]) -> Tail {
     best
 }
 
+/// The tail at percentile `pct` when at least [`TAIL_BEYOND`] samples
+/// rank beyond it, else the [`tail`] rule's.  A workload fixes its
+/// percentile — the highest grid percentile that every run of it leaves
+/// ten samples beyond — so that runs of different speeds report the same
+/// statistic rather than flipping between two grid percentiles as their
+/// sample count crosses a threshold.
+pub fn tail_at(samples: &[f64], pct: f64) -> Tail {
+    let mut v = samples.to_vec();
+    v.sort_by(f64::total_cmp);
+    let n = v.len();
+    let i = rank_index(n, pct);
+    let beyond = n - 1 - i;
+    if beyond >= TAIL_BEYOND {
+        Tail {
+            pct,
+            value: v[i],
+            beyond,
+            n,
+        }
+    } else {
+        tail(samples)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,6 +141,18 @@ mod tests {
         let v: Vec<f64> = (1..=2000).map(f64::from).collect();
         let t = tail(&v);
         assert_eq!((t.pct, t.value, t.beyond), (99.0, 1980.0, 20));
+    }
+
+    #[test]
+    fn fixed_tail_percentile_does_not_follow_the_sample_count() {
+        // 2000 samples would give p99 by the grid rule; p95 is kept.
+        let v: Vec<f64> = (1..=2000).map(f64::from).collect();
+        let t = tail_at(&v, 95.0);
+        assert_eq!((t.pct, t.value, t.beyond), (95.0, 1900.0, 100));
+        // Too few samples beyond p95: the grid rule decides.
+        let v: Vec<f64> = (1..=100).map(f64::from).collect();
+        assert_eq!(tail_at(&v, 95.0), tail(&v));
+        assert_eq!(tail_at(&v, 90.0).pct, 90.0);
     }
 
     #[test]

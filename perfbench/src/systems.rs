@@ -111,33 +111,6 @@ pub const ONESHOT: [Shape; 19] = [
     het(&[4, 5]),    // 143 360
 ];
 
-/// The `scale` shape: 6×7, homogeneous per stage (1 081 344 quotient
-/// states, 7.97M nnz) — the smallest shape on the ≥ 2²⁰ solver plan.
-pub const SCALE: Shape = hom(&[6, 7]);
-
-/// Seed of the `scale` cold rate table: adaptive SOR meets its contract
-/// (154 sweeps).
-pub const SCALE_COLD_TABLE: u64 = 1;
-
-/// Seed of the `scale` warm rate table: SOR misses its contract and
-/// Jacobi-GMRES rescues it (328 matvecs) — about one 6×7 draw in five
-/// takes this path.
-pub const SCALE_WARM_TABLE: u64 = 102;
-
-/// The `scale` system of rate table `table` in time unit `unit`: the
-/// table's processor speeds and bandwidth multiplied by `unit`.  Every
-/// rate scales by the same factor, so the solver path and its iteration
-/// count do not depend on `unit` — only the numbers the program sees do.
-pub fn scale_system(table: u64, unit: f64) -> System {
-    let base = SCALE.draw(&mut Rng::new(table));
-    let p = base.platform();
-    let speeds = (0..p.n_processors()).map(|i| p.speed(i) * unit).collect();
-    let platform = Platform::complete(speeds, p.bandwidth(0, 1) * unit)
-        .expect("positive finite speeds and bandwidth");
-    System::new(base.app().clone(), platform, base.mapping().clone())
-        .expect("mapping fits the platform")
-}
-
 /// Warm shapes of the `serve` hot class, with their share out of
 /// [`HOT_CYCLE`] hot requests (one cycle per block of the class mix):
 /// most traffic hits heterogeneous 4×5.
@@ -244,16 +217,6 @@ mod tests {
         let p = s.platform();
         assert!((0..3).all(|i| p.speed(i) == p.speed(0)));
         assert!((3..7).all(|i| p.speed(i) == p.speed(3)));
-    }
-
-    #[test]
-    fn scale_unit_scales_every_rate() {
-        use repstream::core::timing::exponential_rates;
-        let a = exponential_rates(&scale_system(SCALE_COLD_TABLE, 1.0));
-        let b = exponential_rates(&scale_system(SCALE_COLD_TABLE, 2.0));
-        for ((_, x), (_, y)) in a.iter().zip(b.iter()) {
-            assert_eq!(2.0 * x, *y);
-        }
     }
 
     #[test]
