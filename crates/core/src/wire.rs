@@ -1134,10 +1134,16 @@ pub fn write_frame(w: &mut impl Write, body: &[u8]) -> Result<(), WireError> {
     Ok(())
 }
 
+/// Body bytes reserved before the first body byte arrives; the buffer
+/// grows with what is actually received beyond that.
+const FRAME_INITIAL_CAPACITY: usize = 64 << 10;
+
 /// Read one frame body.  `Ok(None)` means the peer closed cleanly
 /// **between** frames; EOF inside a frame is [`WireError::Truncated`],
 /// and a length prefix beyond [`MAX_FRAME`] is rejected before any
-/// allocation.
+/// allocation.  The body buffer grows as bytes arrive, so a peer that
+/// advertises a large frame and then stalls or trickles holds at most
+/// [`FRAME_INITIAL_CAPACITY`] plus what it has really sent.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, WireError> {
     let mut len_buf = [0u8; 4];
     let mut got = 0;
@@ -1154,8 +1160,11 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, WireError> {
     if len > MAX_FRAME {
         return Err(WireError::Oversized(len));
     }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
+    let mut body = Vec::with_capacity(len.min(FRAME_INITIAL_CAPACITY));
+    r.take(len as u64).read_to_end(&mut body)?;
+    if body.len() < len {
+        return Err(WireError::Truncated);
+    }
     Ok(Some(body))
 }
 
@@ -1291,6 +1300,46 @@ mod tests {
         partial.extend_from_slice(&[1, 2, 3]);
         let mut r = &partial[..];
         assert_eq!(read_frame(&mut r), Err(WireError::Truncated));
+    }
+
+    /// A reader that hands out at most one byte per `read` call.
+    struct Trickle<'a>(&'a [u8]);
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match (self.0.split_first(), buf.first_mut()) {
+                (Some((&b, rest)), Some(slot)) => {
+                    *slot = b;
+                    self.0 = rest;
+                    Ok(1)
+                }
+                _ => Ok(0),
+            }
+        }
+    }
+
+    #[test]
+    fn max_frame_header_then_eof_is_truncated_without_full_allocation() {
+        let header = (MAX_FRAME as u32).to_le_bytes();
+        let mut r = &header[..];
+        assert_eq!(read_frame(&mut r), Err(WireError::Truncated));
+        // Same with a few body bytes before the EOF.
+        let mut partial = header.to_vec();
+        partial.extend_from_slice(&[7; 100]);
+        let mut r = &partial[..];
+        assert_eq!(read_frame(&mut r), Err(WireError::Truncated));
+    }
+
+    #[test]
+    fn byte_trickling_peer_decodes_correctly() {
+        let req = Request::Stats.encode();
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &req).unwrap();
+        write_frame(&mut buf, &[0xAB; 3000]).unwrap();
+        let mut r = Trickle(&buf);
+        assert_eq!(read_frame(&mut r).unwrap(), Some(req));
+        assert_eq!(read_frame(&mut r).unwrap(), Some(vec![0xAB; 3000]));
+        assert_eq!(read_frame(&mut r).unwrap(), None, "clean EOF");
     }
 
     #[test]

@@ -10,27 +10,41 @@
 //!
 //! [`ChainCache`] keys those structures canonically — [`TpnSignature`]
 //! for the global Strict chain, the coprime `(u′, v′)` dimensions for
-//! Theorem 3 pattern chains — and **refills** the cached CSR on a hit
-//! ([`MarkingGraph::ctmc_with_trans_rates`], `O(nnz)`), skipping the BFS
-//! entirely.  Strict chains cache **two** structures per signature, each
-//! built lazily by the first candidate that needs it: the direct
-//! symmetry-reduced quotient ([`QuotientGraph`], served to every
+//! Theorem 3 pattern chains.  Strict chains cache **two** structures per
+//! signature, each built lazily by the first candidate that needs it: the
+//! direct symmetry-reduced quotient ([`QuotientGraph`], served to every
 //! orbit-invariant candidate — the full graph is never materialized for
 //! those) and the full marking graph (heterogeneous candidates, `m = 1`,
-//! or lumping off).  Cached results are **bitwise identical** to cold
-//! solves:
-//! the refilled chain has byte-for-byte the arrays a fresh build would
-//! produce, and every solver is deterministic in its inputs.  The
-//! equivalence property tests of `repstream-engine` pin this contract.
+//! or lumping off).
+//!
+//! # Structure and rates
+//!
+//! A cached graph is immutable and shared (`Arc`); its chain's structure
+//! (the CSR pattern and its transpose, see [`crate::ctmc`]) is shared in
+//! turn by every chain re-rated from it.  What a request needs of its own
+//! is the chain's rate arrays (`rate`, exit rates, `Λ`, incoming rates).
+//! Those are **recycled**: when a graph is cached, its chain's rate
+//! arrays are split off and parked next to it; a warm hit takes them,
+//! refills them in place from the candidate's rate table
+//! ([`MarkingGraph::refill_trans_rates`], one `O(nnz)` gather, no
+//! allocation), solves, and hands them back.  A request that finds them
+//! taken by a concurrent request over the same shape re-rates into fresh
+//! buffers instead ([`MarkingGraph::ctmc_with_trans_rates`]), which are
+//! dropped after its solve — so at most one copy stays resident.
+//!
+//! Cached results are **bitwise identical** to cold solves: the refilled
+//! chain has byte-for-byte the arrays a fresh build would produce, and
+//! every solver is deterministic in its inputs.  The equivalence property
+//! tests of `repstream-engine` pin this contract.
 //!
 //! Budget semantics: `max_states` bounds the *structure build* on a miss.
 //! A hit reuses the cached structure without re-checking it against the
 //! (possibly smaller) budget of the current call — budgets are per
 //! deployment, not per candidate.
 
-use crate::ctmc::{Precond, Solver, SolverChoice};
+use crate::ctmc::{Ctmc, Precond, SolveReport, Solver, SolverChoice};
 use crate::fxhash::{FxHashMap, FxHasher};
-use crate::govern::Budget;
+use crate::govern::{Budget, Interrupt, Phase, Progress};
 use crate::marking::{
     ArenaCompression, ArenaStats, MarkingError, MarkingGraph, MarkingOptions, QuotientGraph,
 };
@@ -38,7 +52,9 @@ use crate::net::{comm_pattern, rates_orbit_invariant, EventNet, NetSymmetry};
 use repstream_petri::shape::{gcd, ExecModel, MappingShape, ResourceTable};
 use repstream_petri::tpn::{Tpn, TpnSignature};
 use std::hash::{Hash, Hasher};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
 /// Hit/miss counters of a [`ChainCache`] (reported by search drivers).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -63,30 +79,44 @@ impl CacheStats {
     pub fn misses(&self) -> usize {
         self.pattern_misses + self.strict_misses
     }
+
+    fn bump(&mut self, event: Event) {
+        *match event {
+            Event::PatternHit => &mut self.pattern_hits,
+            Event::PatternMiss => &mut self.pattern_misses,
+            Event::StrictHit => &mut self.strict_hits,
+            Event::StrictMiss => &mut self.strict_misses,
+        } += 1;
+    }
 }
 
-/// Cached structure of one `u × v` pattern chain.
-#[derive(Debug, Clone)]
-struct PatternEntry {
-    mg: MarkingGraph,
+/// One counted cache outcome.
+#[derive(Debug, Clone, Copy)]
+enum Event {
+    PatternHit,
+    PatternMiss,
+    StrictHit,
+    StrictMiss,
 }
 
-/// Cached structure of one Strict-TPN chain.  The two reachability
-/// structures are built **lazily**, each on the first candidate that
-/// needs it: orbit-invariant candidates only ever build (and share) the
-/// direct quotient — the full graph, `m` times larger, is never
-/// materialized for them — while heterogeneous candidates build the full
-/// graph.
-#[derive(Debug, Clone)]
-struct StrictEntry {
-    tpn: Tpn,
-    /// Structural row-rotation symmetry (rate invariance is re-checked
-    /// against every candidate's rate table).
-    sym: Option<NetSymmetry>,
-    /// Direct quotient structure (first orbit-invariant candidate).
-    quotient: Option<QuotientGraph>,
-    /// Full marking graph (first candidate that cannot lump).
-    full: Option<MarkingGraph>,
+/// [`CacheStats`] as atomics, so the shared cache counts without a lock.
+#[derive(Debug, Default)]
+struct AtomicStats([AtomicUsize; 4]);
+
+impl AtomicStats {
+    fn bump(&self, event: Event) {
+        self.0[event as usize].fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn load(&self) -> CacheStats {
+        let get = |event: Event| self.0[event as usize].load(Ordering::Relaxed);
+        CacheStats {
+            pattern_hits: get(Event::PatternHit),
+            pattern_misses: get(Event::PatternMiss),
+            strict_hits: get(Event::StrictHit),
+            strict_misses: get(Event::StrictMiss),
+        }
+    }
 }
 
 /// Options of a cached Strict-chain solve (the markov-level mirror of the
@@ -115,7 +145,8 @@ pub struct StrictOptions {
     /// value builds the bitwise-identical structure, so warm hits never
     /// depend on it.
     pub interner_spill: bool,
-    /// Cooperative resource budget, checked per BFS level of a cold build
+    /// Cooperative resource budget, checked per BFS level of a cold build,
+    /// while waiting for another request's build of the same structure,
     /// and at the stationary solver's checkpoints.  The checks only
     /// decide *whether* to abort — an un-fired budget never changes a
     /// single output bit.
@@ -169,6 +200,492 @@ pub struct StrictSolve {
     pub arena: ArenaStats,
 }
 
+/// What the cache needs of a reachability graph it stores.
+trait CachedGraph {
+    /// The graph's own chain (split bare once the graph is cached).
+    fn chain_mut(&mut self) -> &mut Ctmc;
+    /// A new chain over the graph's structure, re-rated.
+    fn rerated(&self, trans_rates: &[f64]) -> Ctmc;
+    /// Re-rate `chain` in place.
+    fn refill(&self, chain: &mut Ctmc, trans_rates: &[f64]);
+    /// Solve `chain` and sum the stationary firing rates of
+    /// `transitions`; `None` runs the ungoverned solve.
+    fn solve(
+        &self,
+        chain: &Ctmc,
+        trans_rates: &[f64],
+        transitions: &[usize],
+        solver: SolverChoice,
+        budget: Option<&Budget>,
+    ) -> Result<(f64, SolveReport), Interrupt>;
+}
+
+macro_rules! cached_graph {
+    ($graph:ty) => {
+        impl CachedGraph for $graph {
+            fn chain_mut(&mut self) -> &mut Ctmc {
+                &mut self.ctmc
+            }
+
+            fn rerated(&self, trans_rates: &[f64]) -> Ctmc {
+                self.ctmc_with_trans_rates(trans_rates)
+            }
+
+            fn refill(&self, chain: &mut Ctmc, trans_rates: &[f64]) {
+                self.refill_trans_rates(chain, trans_rates)
+            }
+
+            fn solve(
+                &self,
+                chain: &Ctmc,
+                trans_rates: &[f64],
+                transitions: &[usize],
+                solver: SolverChoice,
+                budget: Option<&Budget>,
+            ) -> Result<(f64, SolveReport), Interrupt> {
+                match budget {
+                    Some(b) => {
+                        self.throughput_solve_governed(chain, trans_rates, transitions, solver, b)
+                    }
+                    None => Ok(self.throughput_solve(chain, trans_rates, transitions, solver)),
+                }
+            }
+        }
+    };
+}
+
+cached_graph!(MarkingGraph);
+cached_graph!(QuotientGraph);
+
+/// How long a request waiting for another request's build sleeps between
+/// checks of its own budget.
+const LATCH_POLL: Duration = Duration::from_millis(5);
+
+/// A one-shot gate: closed while one request builds a structure, opened
+/// when that build ends (installed, failed or unwound).
+#[derive(Debug, Default)]
+struct Latch {
+    open: Mutex<bool>,
+    opened: Condvar,
+}
+
+impl Latch {
+    fn open(&self) {
+        *lock(&self.open) = true;
+        self.opened.notify_all();
+    }
+
+    /// Block until the latch opens, or until `budget` fires.
+    fn wait(&self, budget: &Budget, phase: Phase) -> Result<(), Interrupt> {
+        let mut open = lock(&self.open);
+        while !*open {
+            if budget.is_unlimited() {
+                open = self
+                    .opened
+                    .wait(open)
+                    .unwrap_or_else(PoisonError::into_inner);
+            } else {
+                budget.check(Progress {
+                    phase,
+                    ..Progress::default()
+                })?;
+                open = self
+                    .opened
+                    .wait_timeout(open, LATCH_POLL)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Lock a mutex, recovering from poisoning (every critical section of
+/// this module leaves its data consistent; see [`SharedChainCache`]).
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One cached structure, through its life.
+#[derive(Debug, Clone, Default)]
+enum Slot<G> {
+    /// Not built (or its last build failed).
+    #[default]
+    Empty,
+    /// One request is building it; the others wait on the latch.
+    Building(Arc<Latch>),
+    /// Built: the shared graph, and its chain's rate buffers while no
+    /// request holds them.
+    Ready { graph: Arc<G>, spare: Option<Ctmc> },
+}
+
+/// The rate-independent head of a Strict entry: the TPN and its
+/// structurally validated row-rotation symmetry.
+#[derive(Debug)]
+struct StrictHead {
+    tpn: Tpn,
+    /// Structural row-rotation symmetry (rate invariance is re-checked
+    /// against every candidate's rate table).
+    sym: Option<NetSymmetry>,
+}
+
+impl StrictHead {
+    fn new(shape: &MappingShape, rates: &ResourceTable<f64>) -> StrictHead {
+        let tpn = Tpn::build(shape, ExecModel::Strict);
+        // Validate the rotation *structurally* once per signature
+        // (rate-independent, so any candidate's net serves): a hint that
+        // is not a net automorphism is dropped here and every candidate
+        // takes the graceful full-chain path instead of tripping the
+        // quotient builder's contract assert.
+        let net = EventNet::from_tpn(&tpn, rates);
+        let sym = tpn
+            .row_rotation()
+            .map(|a| NetSymmetry {
+                trans_perm: a.trans_perm,
+                place_perm: a.place_perm,
+            })
+            .filter(|s| net.symmetry_structural(s));
+        StrictHead { tpn, sym }
+    }
+}
+
+/// Cached structures of one Strict-TPN signature.  The two reachability
+/// structures are built **lazily**, each on the first candidate that
+/// needs it: orbit-invariant candidates only ever build (and share) the
+/// direct quotient — the full graph, `m` times larger, is never
+/// materialized for them — while heterogeneous candidates build the full
+/// graph.
+#[derive(Debug, Clone)]
+struct StrictEntry {
+    head: Arc<StrictHead>,
+    /// Direct quotient structure (first orbit-invariant candidate).
+    quotient: Slot<QuotientGraph>,
+    /// Full marking graph (first candidate that cannot lump).
+    full: Slot<MarkingGraph>,
+}
+
+/// The maps of one cache shard.
+#[derive(Debug, Clone, Default)]
+struct Shard {
+    patterns: FxHashMap<(usize, usize), Slot<MarkingGraph>>,
+    strict: FxHashMap<TpnSignature, StrictEntry>,
+}
+
+impl Shard {
+    /// The entry of `key`, created with `head` when absent.
+    fn strict_entry(&mut self, key: &TpnSignature, head: &Arc<StrictHead>) -> &mut StrictEntry {
+        self.strict
+            .entry(key.clone())
+            .or_insert_with(|| StrictEntry {
+                head: Arc::clone(head),
+                quotient: Slot::Empty,
+                full: Slot::Empty,
+            })
+    }
+}
+
+/// Short critical sections over one shard: plain access for the
+/// exclusive [`ChainCache`], a shard-mutex acquisition per call for the
+/// [`SharedChainCache`].  Nothing slow — no build, refill or solve — ever
+/// runs inside `with`.
+trait ShardAccess {
+    fn with<R>(&mut self, f: impl FnOnce(&mut Shard) -> R) -> R;
+    fn record(&mut self, event: Event);
+}
+
+/// Names one slot of a shard.
+type SlotOf<'a, G> = &'a dyn Fn(&mut Shard) -> &mut Slot<G>;
+
+/// The right to build one slot, held by the request that found it empty.
+/// Dropping the ticket without [`BuildTicket::install`] — a failed,
+/// interrupted or panicking build — empties the slot again, so no entry
+/// is left behind; either way the waiters are released.
+struct BuildTicket<'a, A: ShardAccess, G> {
+    access: &'a mut A,
+    slot_of: SlotOf<'a, G>,
+    latch: Arc<Latch>,
+}
+
+impl<A: ShardAccess, G> BuildTicket<'_, A, G> {
+    fn install(self, graph: Arc<G>) {
+        let slot_of = self.slot_of;
+        self.access.with(|shard| {
+            *slot_of(shard) = Slot::Ready { graph, spare: None };
+        });
+    }
+}
+
+impl<A: ShardAccess, G> Drop for BuildTicket<'_, A, G> {
+    fn drop(&mut self) {
+        let (slot_of, latch) = (self.slot_of, &self.latch);
+        self.access.with(|shard| {
+            let slot = slot_of(shard);
+            if matches!(slot, Slot::Building(l) if Arc::ptr_eq(l, latch)) {
+                *slot = Slot::Empty;
+            }
+        });
+        self.latch.open();
+    }
+}
+
+/// What a request found in its slot.
+enum Found<G> {
+    Ready(Arc<G>, Option<Ctmc>),
+    Building(Arc<Latch>),
+    Empty(Arc<Latch>),
+}
+
+/// Which counters and governor phase a cached solve reports under.
+#[derive(Clone, Copy)]
+struct Kind {
+    hit: Event,
+    miss: Event,
+    phase: Phase,
+}
+
+const PATTERN: Kind = Kind {
+    hit: Event::PatternHit,
+    miss: Event::PatternMiss,
+    phase: Phase::MarkingBfs,
+};
+const STRICT_FULL: Kind = Kind {
+    hit: Event::StrictHit,
+    miss: Event::StrictMiss,
+    phase: Phase::MarkingBfs,
+};
+const STRICT_QUOTIENT: Kind = Kind {
+    hit: Event::StrictHit,
+    miss: Event::StrictMiss,
+    phase: Phase::QuotientBfs,
+};
+
+/// One cached solve.
+struct Cached<G> {
+    graph: Arc<G>,
+    hit: bool,
+    throughput: f64,
+    report: SolveReport,
+}
+
+/// Serve one solve from the slot `slot_of` names: take (or build) the
+/// graph and a chain over it, refill the chain from `trans_rates`, solve
+/// and hand the chain's buffers back.  Only the slot lookup, the install
+/// of a new build and the hand-back touch the shard.
+#[allow(clippy::too_many_arguments)]
+fn solve_cached<A: ShardAccess, G: CachedGraph>(
+    access: &mut A,
+    slot_of: SlotOf<'_, G>,
+    kind: Kind,
+    build: impl FnOnce() -> Result<G, MarkingError>,
+    trans_rates: &[f64],
+    transitions: &[usize],
+    solver: SolverChoice,
+    budget: Option<&Budget>,
+) -> Result<Cached<G>, MarkingError> {
+    // Ok: the cached graph and its spare buffers, if free; Err: this
+    // request holds the build latch.
+    let lookup = loop {
+        let found = access.with(|shard| {
+            let slot = slot_of(shard);
+            match slot {
+                Slot::Ready { graph, spare } => Found::Ready(Arc::clone(graph), spare.take()),
+                Slot::Building(latch) => Found::Building(Arc::clone(latch)),
+                Slot::Empty => {
+                    let latch = Arc::new(Latch::default());
+                    *slot = Slot::Building(Arc::clone(&latch));
+                    Found::Empty(latch)
+                }
+            }
+        });
+        match found {
+            Found::Ready(graph, spare) => break Ok((graph, spare)),
+            Found::Empty(latch) => break Err(latch),
+            Found::Building(latch) => {
+                latch.wait(budget.unwrap_or(&Budget::UNLIMITED), kind.phase)?
+            }
+        }
+    };
+    let (graph, chain, hit) = match lookup {
+        Ok((graph, spare)) => {
+            access.record(kind.hit);
+            let chain = match spare {
+                Some(mut chain) => {
+                    graph.refill(&mut chain, trans_rates);
+                    chain
+                }
+                None => graph.rerated(trans_rates),
+            };
+            (graph, chain, true)
+        }
+        Err(latch) => {
+            access.record(kind.miss);
+            let ticket = BuildTicket {
+                access: &mut *access,
+                slot_of,
+                latch,
+            };
+            let mut graph = build()?;
+            // The graph's own rate arrays become the recycled buffers;
+            // the cached graph keeps the bare structure.
+            let mut chain = graph.chain_mut().split_rates();
+            graph.refill(&mut chain, trans_rates);
+            let graph = Arc::new(graph);
+            ticket.install(Arc::clone(&graph));
+            (graph, chain, false)
+        }
+    };
+    let solved = graph.solve(&chain, trans_rates, transitions, solver, budget);
+    // Hand the buffers back unless a concurrent request already did;
+    // a surplus chain is dropped outside the critical section.
+    let surplus = access.with(|shard| match slot_of(shard) {
+        Slot::Ready { graph: g, spare } if spare.is_none() && Arc::ptr_eq(g, &graph) => {
+            *spare = Some(chain);
+            None
+        }
+        _ => Some(chain),
+    });
+    drop(surplus);
+    let (throughput, report) = solved?;
+    Ok(Cached {
+        graph,
+        hit,
+        throughput,
+        report,
+    })
+}
+
+/// [`ChainCache::pattern_throughput`] over any shard access.
+fn pattern_throughput(
+    access: &mut impl ShardAccess,
+    rate: &[Vec<f64>],
+    max_states: usize,
+) -> Result<f64, MarkingError> {
+    let u = rate.len();
+    let v = rate[0].len();
+    assert!(rate.iter().all(|r| r.len() == v), "ragged rate matrix");
+    assert!(gcd(u, v) == 1, "pattern dimensions must be coprime");
+    let n = u * v;
+    // Transition k is pattern row k: sender k mod u → receiver k mod v
+    // (the comm_pattern convention).
+    let trans_rates: Vec<f64> = (0..n).map(|k| rate[k % u][k % v]).collect();
+    let all: Vec<usize> = (0..n).collect();
+    let build = || {
+        let net = comm_pattern(u, v, |a, b| rate[a][b]);
+        MarkingGraph::build(
+            &net,
+            MarkingOptions {
+                max_states,
+                capacity: None,
+                ..Default::default()
+            },
+        )
+    };
+    let solved = solve_cached(
+        access,
+        &|shard: &mut Shard| shard.patterns.entry((u, v)).or_default(),
+        PATTERN,
+        build,
+        &trans_rates,
+        &all,
+        SolverChoice::Auto,
+        None,
+    )?;
+    Ok(solved.throughput)
+}
+
+/// [`ChainCache::strict_throughput`] over any shard access.
+fn strict_throughput(
+    access: &mut impl ShardAccess,
+    shape: &MappingShape,
+    rates: &ResourceTable<f64>,
+    opts: StrictOptions,
+) -> Result<StrictSolve, MarkingError> {
+    let key = TpnSignature::of(shape, ExecModel::Strict);
+    let head = match access.with(|shard| shard.strict.get(&key).map(|e| Arc::clone(&e.head))) {
+        Some(head) => head,
+        None => {
+            let head = Arc::new(StrictHead::new(shape, rates));
+            access.with(|shard| Arc::clone(&shard.strict_entry(&key, &head).head))
+        }
+    };
+    let trans_rates: Vec<f64> = head
+        .tpn
+        .transitions()
+        .iter()
+        .map(|t| *rates.get(t.resource))
+        .collect();
+    let last = head.tpn.last_column();
+    let marking_opts = MarkingOptions {
+        max_states: opts.max_states,
+        capacity: None,
+        threads: opts.threads,
+        arena_compression: opts.arena_compression,
+        interner_spill: opts.interner_spill,
+        budget: opts.budget,
+        ..Default::default()
+    };
+
+    // Direct-quotient path: the rotation is non-trivial and bitwise
+    // rate-invariant.  (`m = 1` keeps the plain chain: the quotient
+    // would be the identical graph with canonicalization overhead.)
+    let direct_sym = head.sym.as_ref().filter(|s| {
+        opts.lumping
+            && head.tpn.rows() > 1
+            && s.trans_perm.len() == trans_rates.len()
+            && rates_orbit_invariant(&trans_rates, &s.trans_perm)
+    });
+    if let Some(sym) = direct_sym {
+        let solved = solve_cached(
+            access,
+            &|shard: &mut Shard| &mut shard.strict_entry(&key, &head).quotient,
+            STRICT_QUOTIENT,
+            || QuotientGraph::build(&EventNet::from_tpn(&head.tpn, rates), sym, marking_opts),
+            &trans_rates,
+            &last,
+            opts.solver,
+            Some(&opts.budget),
+        )?;
+        let qg = &solved.graph;
+        return Ok(StrictSolve {
+            throughput: solved.throughput,
+            full_states: qg.full_states(),
+            lumped_states: Some(qg.n_states()),
+            quotient_direct: true,
+            cache_hit: solved.hit,
+            solver: solved.report.solver,
+            precond: solved.report.precond,
+            residual: solved.report.residual,
+            iterations: solved.report.iterations,
+            arena: qg.arena_stats(),
+        });
+    }
+
+    // Full-chain path (heterogeneous rates, m = 1, or lumping off).
+    let solved = solve_cached(
+        access,
+        &|shard: &mut Shard| &mut shard.strict_entry(&key, &head).full,
+        STRICT_FULL,
+        || MarkingGraph::build(&EventNet::from_tpn(&head.tpn, rates), marking_opts),
+        &trans_rates,
+        &last,
+        opts.solver,
+        Some(&opts.budget),
+    )?;
+    let mg = &solved.graph;
+    Ok(StrictSolve {
+        throughput: solved.throughput,
+        full_states: mg.n_states(),
+        lumped_states: None,
+        quotient_direct: false,
+        cache_hit: solved.hit,
+        solver: solved.report.solver,
+        precond: solved.report.precond,
+        residual: solved.report.residual,
+        iterations: solved.report.iterations,
+        arena: mg.arena_stats(),
+    })
+}
+
 /// A cache of marking-graph structures keyed by chain shape.
 ///
 /// See the module docs for the reuse contract.  One cache serves one
@@ -193,8 +710,9 @@ pub struct StrictSolve {
 /// let cold = cache.strict_throughput(&shape, &rates, opts).unwrap();
 /// assert!(!cold.cache_hit);
 ///
-/// // …every later candidate over the same shape refills the cached CSR
-/// // in O(nnz) — and gets bitwise the value a cold solve would produce.
+/// // …every later candidate over the same shape refills the cached
+/// // chain's rate buffers in O(nnz) — and gets bitwise the value a cold
+/// // solve would produce.
 /// let faster = ResourceTable::from_fns(&shape, |_, _| 1.0, |_, _, _| 4.0);
 /// let warm = cache.strict_throughput(&shape, &faster, opts).unwrap();
 /// assert!(warm.cache_hit);
@@ -206,9 +724,18 @@ pub struct StrictSolve {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ChainCache {
-    patterns: FxHashMap<(usize, usize), PatternEntry>,
-    strict: FxHashMap<TpnSignature, StrictEntry>,
+    shard: Shard,
     stats: CacheStats,
+}
+
+impl ShardAccess for ChainCache {
+    fn with<R>(&mut self, f: impl FnOnce(&mut Shard) -> R) -> R {
+        f(&mut self.shard)
+    }
+
+    fn record(&mut self, event: Event) {
+        self.stats.bump(event);
+    }
 }
 
 impl ChainCache {
@@ -233,34 +760,7 @@ impl ChainCache {
         rate: &[Vec<f64>],
         max_states: usize,
     ) -> Result<f64, MarkingError> {
-        let u = rate.len();
-        let v = rate[0].len();
-        assert!(rate.iter().all(|r| r.len() == v), "ragged rate matrix");
-        assert!(gcd(u, v) == 1, "pattern dimensions must be coprime");
-        let n = u * v;
-        if let Some(entry) = self.patterns.get(&(u, v)) {
-            self.stats.pattern_hits += 1;
-            // Transition k is pattern row k: sender k mod u → receiver
-            // k mod v (the comm_pattern convention).
-            let trans_rates: Vec<f64> = (0..n).map(|k| rate[k % u][k % v]).collect();
-            let ctmc = entry.mg.ctmc_with_trans_rates(&trans_rates);
-            let all: Vec<usize> = (0..n).collect();
-            return Ok(entry.mg.throughput_with(&ctmc, &trans_rates, &all));
-        }
-        self.stats.pattern_misses += 1;
-        let net = comm_pattern(u, v, |a, b| rate[a][b]);
-        let mg = MarkingGraph::build(
-            &net,
-            MarkingOptions {
-                max_states,
-                capacity: None,
-                ..Default::default()
-            },
-        )?;
-        let all: Vec<usize> = (0..net.n_transitions()).collect();
-        let rho = mg.throughput_of(&net, &all);
-        self.patterns.insert((u, v), PatternEntry { mg });
-        Ok(rho)
+        pattern_throughput(self, rate, max_states)
     }
 
     /// Exact Strict-model throughput through the global marking chain —
@@ -276,133 +776,19 @@ impl ChainCache {
     /// ([`QuotientGraph`]) — the full chain is never materialized for
     /// them — every other candidate on the full marking graph.  On a hit
     /// only the per-candidate work runs: the orbit-invariance check, an
-    /// `O(nnz)` CSR refill, and the stationary solve.
+    /// `O(nnz)` refill of the recycled rate buffers, and the stationary
+    /// solve.
     pub fn strict_throughput(
         &mut self,
         shape: &MappingShape,
         rates: &ResourceTable<f64>,
         opts: StrictOptions,
     ) -> Result<StrictSolve, MarkingError> {
-        let key = TpnSignature::of(shape, ExecModel::Strict);
-        if !self.strict.contains_key(&key) {
-            let tpn = Tpn::build(shape, ExecModel::Strict);
-            // Validate the rotation *structurally* once per signature
-            // (rate-independent, so any candidate's net serves): a hint
-            // that is not a net automorphism is dropped here and every
-            // candidate takes the graceful full-chain path instead of
-            // tripping the quotient builder's contract assert.
-            let net = EventNet::from_tpn(&tpn, rates);
-            let sym = tpn
-                .row_rotation()
-                .map(|a| NetSymmetry {
-                    trans_perm: a.trans_perm,
-                    place_perm: a.place_perm,
-                })
-                .filter(|s| net.symmetry_structural(s));
-            self.strict.insert(
-                key.clone(),
-                StrictEntry {
-                    tpn,
-                    sym,
-                    quotient: None,
-                    full: None,
-                },
-            );
-        }
-        let Some(entry) = self.strict.get_mut(&key) else {
-            unreachable!("entry inserted above when absent")
-        };
-        let trans_rates: Vec<f64> = entry
-            .tpn
-            .transitions()
-            .iter()
-            .map(|t| *rates.get(t.resource))
-            .collect();
-        let last = entry.tpn.last_column();
-        let marking_opts = MarkingOptions {
-            max_states: opts.max_states,
-            capacity: None,
-            threads: opts.threads,
-            arena_compression: opts.arena_compression,
-            interner_spill: opts.interner_spill,
-            budget: opts.budget,
-            ..Default::default()
-        };
-
-        // Direct-quotient path: the rotation is non-trivial and bitwise
-        // rate-invariant.  (`m = 1` keeps the plain chain: the quotient
-        // would be the identical graph with canonicalization overhead.)
-        let direct_sym = entry.sym.as_ref().filter(|s| {
-            opts.lumping
-                && entry.tpn.rows() > 1
-                && s.trans_perm.len() == trans_rates.len()
-                && rates_orbit_invariant(&trans_rates, &s.trans_perm)
-        });
-        if let Some(sym) = direct_sym {
-            let cache_hit = entry.quotient.is_some();
-            if cache_hit {
-                self.stats.strict_hits += 1;
-            } else {
-                self.stats.strict_misses += 1;
-                let net = EventNet::from_tpn(&entry.tpn, rates);
-                entry.quotient = Some(QuotientGraph::build(&net, sym, marking_opts)?);
-            }
-            let Some(qg) = entry.quotient.as_ref() else {
-                unreachable!("quotient built above when absent")
-            };
-            let ctmc = qg.ctmc_with_trans_rates(&trans_rates);
-            let (throughput, report) = qg.throughput_solve_governed(
-                &ctmc,
-                &trans_rates,
-                &last,
-                opts.solver,
-                &opts.budget,
-            )?;
-            return Ok(StrictSolve {
-                throughput,
-                full_states: qg.full_states(),
-                lumped_states: Some(qg.n_states()),
-                quotient_direct: true,
-                cache_hit,
-                solver: report.solver,
-                precond: report.precond,
-                residual: report.residual,
-                iterations: report.iterations,
-                arena: qg.arena_stats(),
-            });
-        }
-
-        // Full-chain path (heterogeneous rates, m = 1, or lumping off).
-        let cache_hit = entry.full.is_some();
-        if cache_hit {
-            self.stats.strict_hits += 1;
-        } else {
-            self.stats.strict_misses += 1;
-            let net = EventNet::from_tpn(&entry.tpn, rates);
-            entry.full = Some(MarkingGraph::build(&net, marking_opts)?);
-        }
-        let Some(mg) = entry.full.as_ref() else {
-            unreachable!("full graph built above when absent")
-        };
-        let ctmc = mg.ctmc_with_trans_rates(&trans_rates);
-        let (throughput, report) =
-            mg.throughput_solve_governed(&ctmc, &trans_rates, &last, opts.solver, &opts.budget)?;
-        Ok(StrictSolve {
-            throughput,
-            full_states: mg.n_states(),
-            lumped_states: None,
-            quotient_direct: false,
-            cache_hit,
-            solver: report.solver,
-            precond: report.precond,
-            residual: report.residual,
-            iterations: report.iterations,
-            arena: mg.arena_stats(),
-        })
+        strict_throughput(self, shape, rates, opts)
     }
 }
 
-/// A concurrency-safe, sharded [`ChainCache`] for the serving layer.
+/// A concurrency-safe, sharded chain cache for the serving layer.
 ///
 /// One `SharedChainCache` serves every worker of a `repstream serve`
 /// daemon: requests over the **same** chain shape share one structure
@@ -410,30 +796,34 @@ impl ChainCache {
 ///
 /// # Sharding contract
 ///
-/// The cache is `shards` independent [`ChainCache`]s, each behind its own
-/// [`Mutex`].  A solve locks exactly **one** shard — picked by the Fx
-/// hash of its structural key ([`TpnSignature`] for Strict chains, the
-/// coprime `(u′, v′)` pair for pattern chains) — for the whole solve
-/// (cold build included).  Consequences, stated honestly:
+/// The cache is `shards` independent maps, each behind its own [`Mutex`];
+/// a solve uses exactly **one** shard — picked by the Fx hash of its
+/// structural key ([`TpnSignature`] for Strict chains, the coprime
+/// `(u′, v′)` pair for pattern chains).  The shard mutex is held only for
+/// short critical sections: looking a structure up (and taking its
+/// recycled rate buffers), installing a finished build, and handing the
+/// buffers back.  Builds, refills and solves run **outside** it.
+/// Consequences:
 ///
-/// - Two requests whose keys land on **different** shards never contend.
-/// - Two requests over the **same** shape serialize: the second waits for
-///   the first's build and then gets a warm hit instead of a duplicate
-///   BFS.  That is the design — one BFS per shape, ever.
-/// - Two requests over **different** shapes that *collide* on a shard
-///   also serialize.  With the default 16 shards and the handful of hot
-///   shapes a deployment sees, collisions are rare; raise `shards` if a
-///   profile shows otherwise.
+/// - Requests never wait on each other's solves.  Two warm requests over
+///   the same shape solve concurrently: the first takes the recycled
+///   rate buffers, the second re-rates into fresh ones.
+/// - Requests over the **same** uncached structure build it **once**: the
+///   first installs a build latch and runs the BFS outside the lock; the
+///   others wait on that latch (checking their own [`Budget`] while they
+///   wait) and then take a warm hit.
+/// - Requests over **different** shapes that collide on a shard contend
+///   only for those short critical sections, never for a build.
 ///
-/// # Poisoning
+/// # Failed builds and poisoning
 ///
-/// A worker that panics mid-build poisons only its shard's mutex, and
-/// the shard is still **consistent**: [`ChainCache`] installs a
-/// structure entry only after its build fully succeeds, so a poisoned
-/// shard never holds a partial chain.  Locks therefore recover from
-/// poisoning (`PoisonError::into_inner`) instead of propagating the
-/// panic — the entry the panicking request was building is simply absent
-/// and the next request rebuilds it.
+/// A structure is installed only after its build fully succeeds.  A
+/// build that fails — state cap, governor interrupt, spill error, or a
+/// panic — empties its slot again and opens the latch, so nothing partial
+/// is left behind; the next request for that structure (a waiter
+/// included) builds it afresh.  The critical sections leave the maps
+/// consistent at every point, so locks recover from poisoning
+/// (`PoisonError::into_inner`) instead of propagating a panic.
 ///
 /// # Bitwise contract
 ///
@@ -441,9 +831,32 @@ impl ChainCache {
 /// thread asks — is bitwise identical to a cold sequential solve of the
 /// same inputs.  `repstream`'s `shared_cache` stress tests pin this
 /// under 8-way concurrency.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct SharedChainCache {
-    shards: Vec<Mutex<ChainCache>>,
+    shards: Vec<Mutex<Shard>>,
+    stats: AtomicStats,
+}
+
+impl Default for SharedChainCache {
+    fn default() -> Self {
+        SharedChainCache::new()
+    }
+}
+
+/// One locked-per-call shard of a [`SharedChainCache`].
+struct Locked<'a> {
+    shard: &'a Mutex<Shard>,
+    stats: &'a AtomicStats,
+}
+
+impl ShardAccess for Locked<'_> {
+    fn with<R>(&mut self, f: impl FnOnce(&mut Shard) -> R) -> R {
+        f(&mut lock(self.shard))
+    }
+
+    fn record(&mut self, event: Event) {
+        self.stats.bump(event);
+    }
 }
 
 impl SharedChainCache {
@@ -460,7 +873,8 @@ impl SharedChainCache {
     pub fn with_shards(shards: usize) -> SharedChainCache {
         let n = shards.max(1).next_power_of_two();
         SharedChainCache {
-            shards: (0..n).map(|_| Mutex::new(ChainCache::new())).collect(),
+            shards: (0..n).map(|_| Mutex::new(Shard::default())).collect(),
+            stats: AtomicStats::default(),
         }
     }
 
@@ -469,19 +883,19 @@ impl SharedChainCache {
         self.shards.len()
     }
 
-    /// Lock the shard owning `key`, recovering from poisoning (see the
-    /// type docs for why that is sound).
-    fn shard_for<K: Hash>(&self, key: &K) -> std::sync::MutexGuard<'_, ChainCache> {
+    /// The shard owning `key`.
+    fn shard_for<K: Hash>(&self, key: &K) -> Locked<'_> {
         let mut h = FxHasher::default();
         key.hash(&mut h);
         let idx = (h.finish() as usize) & (self.shards.len() - 1);
-        self.shards[idx]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        Locked {
+            shard: &self.shards[idx],
+            stats: &self.stats,
+        }
     }
 
     /// Concurrent equivalent of [`ChainCache::pattern_throughput`]:
-    /// bitwise identical to a cold solve, one shard locked for the call.
+    /// bitwise identical to a cold solve.
     ///
     /// # Panics
     /// Panics on a ragged rate matrix or non-coprime dimensions.
@@ -491,11 +905,11 @@ impl SharedChainCache {
         max_states: usize,
     ) -> Result<f64, MarkingError> {
         let key = (rate.len(), rate.first().map_or(0, Vec::len));
-        self.shard_for(&key).pattern_throughput(rate, max_states)
+        pattern_throughput(&mut self.shard_for(&key), rate, max_states)
     }
 
     /// Concurrent equivalent of [`ChainCache::strict_throughput`]:
-    /// bitwise identical to a cold solve, one shard locked for the call.
+    /// bitwise identical to a cold solve.
     pub fn strict_throughput(
         &self,
         shape: &MappingShape,
@@ -503,23 +917,12 @@ impl SharedChainCache {
         opts: StrictOptions,
     ) -> Result<StrictSolve, MarkingError> {
         let key = TpnSignature::of(shape, ExecModel::Strict);
-        self.shard_for(&key).strict_throughput(shape, rates, opts)
+        strict_throughput(&mut self.shard_for(&key), shape, rates, opts)
     }
 
-    /// Hit/miss counters summed over every shard.
+    /// Hit/miss counters summed over every shard (read without locking).
     pub fn stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for shard in &self.shards {
-            let s = shard
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .stats();
-            total.pattern_hits += s.pattern_hits;
-            total.pattern_misses += s.pattern_misses;
-            total.strict_hits += s.strict_hits;
-            total.strict_misses += s.strict_misses;
-        }
-        total
+        self.stats.load()
     }
 }
 

@@ -12,16 +12,21 @@
 //!                          of the generator is implied)
 //! ```
 //!
-//! Construction also caches everything every solver would otherwise
-//! recompute per call:
+//! The chain is split in two parts:
 //!
-//! * `exit[s]` — total exit rate of each state (one pass, reused by
-//!   uniformization, Gauss–Seidel and the residual check);
-//! * `lambda` — the uniformization constant `Λ = 1.1 · max_s exit[s]`;
-//! * an **incoming** CSR (the transpose: for each state, the sources and
-//!   rates of its in-transitions) with the uniformized probabilities
-//!   `rate / Λ` precomputed, so the power sweep is pure multiply-add with
-//!   no division on the hot path.
+//! * an immutable **structure**, shared through an `Arc` by every chain
+//!   re-rated from it: `row_ptr`/`col`, the **incoming** CSR (the
+//!   transpose: for each state, the sources of its in-transitions) and
+//!   the transpose permutation `in_perm[slot] = out-edge`.  It is built
+//!   and validated once, by [`Ctmc::from_csr`];
+//! * the per-chain **rates**: `rate`, the exit rates `exit[s]` (one pass,
+//!   reused by uniformization, Gauss–Seidel and the residual check), the
+//!   uniformization constant `Λ = 1.1 · max_s exit[s]`, and the incoming
+//!   rates `in_rate[slot] = rate[in_perm[slot]]`.
+//!
+//! Re-rating a chain ([`Ctmc::with_rates`], or a refill into the chain's
+//! own buffers) is therefore one `O(nnz)` gather: no structure is copied,
+//! sorted or re-validated; only the new rates are checked.
 //!
 //! The incoming layout turns the power sweep from a *scatter*
 //! (`next[target] += …`, which would need atomics or replication to
@@ -90,25 +95,38 @@
 //! iteration count — the provenance the CLI reports print.
 
 use crate::govern::{Budget, Interrupt, Phase, Progress};
+use std::sync::Arc;
 
-/// A CTMC in flat compressed-sparse-row form.
-#[derive(Debug, Clone)]
-pub struct Ctmc {
+/// The rate-independent part of a [`Ctmc`], validated once by
+/// [`Ctmc::from_csr`] and shared by every chain re-rated from it.
+#[derive(Debug)]
+struct ChainStructure {
     n: usize,
-    /// Outgoing CSR: row `s` is `col/rate[row_ptr[s]..row_ptr[s+1]]`.
+    /// Outgoing CSR: row `s` is `col[row_ptr[s]..row_ptr[s+1]]`.
     row_ptr: Vec<u32>,
     col: Vec<u32>,
+    /// Incoming CSR (transpose): the sources of column `j` are
+    /// `in_src[in_ptr[j]..in_ptr[j+1]]`, ascending.
+    in_ptr: Vec<u32>,
+    in_src: Vec<u32>,
+    /// Transpose permutation: incoming slot `k` is outgoing edge
+    /// `in_perm[k]`.
+    in_perm: Vec<u32>,
+}
+
+/// A CTMC in flat compressed-sparse-row form: a shared structure plus
+/// this chain's rate arrays (see the module docs).
+#[derive(Debug, Clone)]
+pub struct Ctmc {
+    structure: Arc<ChainStructure>,
+    /// Outgoing rates, aligned with the structure's `col`.
     rate: Vec<f64>,
     /// Cached per-state exit rates (sum of outgoing rates).
     exit: Vec<f64>,
     /// Uniformization constant `Λ` (max exit rate, padded 10%).
     lambda: f64,
-    /// Incoming CSR (transpose): entries of column `j` gathered per row.
-    in_ptr: Vec<u32>,
-    in_src: Vec<u32>,
+    /// Incoming rates, aligned with the structure's `in_src`.
     in_rate: Vec<f64>,
-    /// `in_rate / Λ`, precomputed for the uniformized sweeps.
-    in_prob: Vec<f64>,
 }
 
 /// States per thread below which the parallel sweep is not worth
@@ -433,6 +451,10 @@ impl Ctmc {
 
     /// Build from raw CSR arrays (`row_ptr.len() == n + 1`).
     ///
+    /// This is where the structure is validated and its transpose built
+    /// (a stable counting sort over targets, recording the permutation);
+    /// every chain later re-rated from this one shares both.
+    ///
     /// # Panics
     /// Panics on malformed `row_ptr`, dangling targets, or non-positive
     /// rates.
@@ -441,24 +463,14 @@ impl Ctmc {
         assert_eq!(row_ptr[0], 0, "row_ptr must start at 0");
         let n = row_ptr.len() - 1;
         let nnz = col.len();
-        assert_eq!(rate.len(), nnz);
         assert_eq!(row_ptr[n] as usize, nnz, "row_ptr must end at nnz");
         assert!(n < u32::MAX as usize, "state count overflows u32");
         for w in row_ptr.windows(2) {
             assert!(w[0] <= w[1], "row_ptr must be non-decreasing");
         }
-        for (&j, &r) in col.iter().zip(rate.iter()) {
+        for &j in &col {
             assert!((j as usize) < n, "dangling transition target");
-            assert!(r > 0.0 && r.is_finite(), "rates must be positive");
         }
-
-        // Cached exit rates and uniformization constant: one pass.
-        let mut exit = vec![0.0f64; n];
-        for s in 0..n {
-            let (lo, hi) = (row_ptr[s] as usize, row_ptr[s + 1] as usize);
-            exit[s] = rate[lo..hi].iter().sum();
-        }
-        let lambda = (exit.iter().fold(0.0f64, |m, &e| m.max(e)) * 1.1).max(1e-300);
 
         // Incoming CSR by counting sort over targets (stable: sources
         // appear in ascending order within each row of the transpose).
@@ -471,37 +483,74 @@ impl Ctmc {
         }
         let mut next = in_ptr.clone();
         let mut in_src = vec![0u32; nnz];
-        let mut in_rate = vec![0.0f64; nnz];
+        let mut in_perm = vec![0u32; nnz];
         for s in 0..n {
             let (lo, hi) = (row_ptr[s] as usize, row_ptr[s + 1] as usize);
-            for e in lo..hi {
-                let j = col[e] as usize;
+            for (e, &j) in (lo..hi).zip(&col[lo..hi]) {
+                let j = j as usize;
                 let slot = next[j] as usize;
                 next[j] += 1;
                 in_src[slot] = s as u32;
-                in_rate[slot] = rate[e];
+                in_perm[slot] = e as u32;
             }
         }
-        let inv_lambda = 1.0 / lambda;
-        let in_prob: Vec<f64> = in_rate.iter().map(|&r| r * inv_lambda).collect();
-
-        Ctmc {
+        let structure = ChainStructure {
             n,
             row_ptr,
             col,
-            rate,
-            exit,
-            lambda,
             in_ptr,
             in_src,
-            in_rate,
-            in_prob,
-        }
+            in_perm,
+        };
+        Ctmc::over(Arc::new(structure), rate)
+    }
+
+    /// A chain over `structure` with outgoing rates `rate`, its derived
+    /// rate arrays computed by [`Ctmc::derive_rates`].
+    fn over(structure: Arc<ChainStructure>, rate: Vec<f64>) -> Ctmc {
+        let mut chain = Ctmc {
+            structure,
+            rate,
+            exit: Vec::new(),
+            lambda: 0.0,
+            in_rate: Vec::new(),
+        };
+        chain.derive_rates();
+        chain
+    }
+
+    /// Check the outgoing rates and derive the rest from them: exit rates
+    /// and `Λ` ([`Ctmc::derive_exit`]), and the incoming rates gathered
+    /// through the transpose permutation.
+    fn derive_rates(&mut self) {
+        self.derive_exit();
+        let (st, rate) = (&*self.structure, &self.rate);
+        self.in_rate.clear();
+        self.in_rate
+            .extend(st.in_perm.iter().map(|&e| rate[e as usize]));
+    }
+
+    /// Check the outgoing rates, then sum the exit rates in row order and
+    /// take `Λ`.  Writes into the existing buffers, so a chain refilled at
+    /// its own size allocates nothing.
+    fn derive_exit(&mut self) {
+        let (st, rate) = (&*self.structure, &self.rate);
+        assert_eq!(rate.len(), st.col.len(), "one rate per CSR edge");
+        self.exit.clear();
+        self.exit.extend(st.row_ptr.windows(2).map(|w| {
+            let row = &rate[w[0] as usize..w[1] as usize];
+            assert!(
+                row.iter().all(|&r| r > 0.0 && r.is_finite()),
+                "rates must be positive"
+            );
+            row.iter().sum::<f64>()
+        }));
+        self.lambda = (self.exit.iter().fold(0.0f64, |m, &e| m.max(e)) * 1.1).max(1e-300);
     }
 
     /// Number of states.
     pub fn n_states(&self) -> usize {
-        self.n
+        self.structure.n
     }
 
     /// The same sparsity structure with every edge's rate replaced:
@@ -510,36 +559,105 @@ impl Ctmc {
     ///
     /// This is the **refill** operation of structure-keyed chain reuse:
     /// when two chains share their reachability structure and differ only
-    /// in rates (candidate mappings over one shape), cloning the integer
-    /// arrays and re-deriving the cached products (exit rates, `Λ`,
-    /// transposed CSR, uniformized probabilities) costs `O(nnz)` — the
-    /// marking BFS and interner are skipped entirely.  The result is
-    /// **bitwise identical** to building the chain from scratch with the
-    /// same rates ([`Ctmc::from_csr`] is deterministic in its inputs).
+    /// in rates (candidate mappings over one shape), the new chain shares
+    /// this one's structure (`row_ptr`, `col`, the transposed CSR — no
+    /// copy, no sort, no re-validation) and derives only its rate arrays
+    /// (exit rates, `Λ`, incoming rates) in `O(nnz)`; the marking BFS and
+    /// interner are skipped entirely.  The result is **bitwise identical**
+    /// to building the chain from scratch with the same rates.
     ///
     /// # Panics
-    /// Panics if `rate.len() != self.nnz()` or any rate is non-positive.
+    /// Panics if `rate.len() != self.nnz()` or any rate is non-positive
+    /// or not finite.
     pub fn with_rates(&self, rate: Vec<f64>) -> Ctmc {
-        assert_eq!(rate.len(), self.nnz(), "one rate per CSR edge");
-        Ctmc::from_csr(self.row_ptr.clone(), self.col.clone(), rate)
+        Ctmc::over(Arc::clone(&self.structure), rate)
+    }
+
+    /// [`Ctmc::with_rates`] in place: `rates` (one per CSR edge, in edge
+    /// order) replace this chain's outgoing rates and the derived arrays
+    /// are recomputed into the same buffers.  Bitwise identical to
+    /// [`Ctmc::with_rates`] with the same rates; allocates nothing when
+    /// the buffers already have the chain's size.
+    ///
+    /// # Panics
+    /// Panics if `rates` does not yield one rate per edge, or a rate is
+    /// non-positive or not finite.
+    pub(crate) fn refill(&mut self, rates: impl IntoIterator<Item = f64>) {
+        self.rate.clear();
+        self.rate.extend(rates);
+        self.derive_rates();
+    }
+
+    /// [`Ctmc::refill`] with the incoming rates supplied too, for callers
+    /// that can produce them without the transpose permutation's random
+    /// reads: `in_rates` must yield, for every incoming slot `k`, the rate
+    /// of outgoing edge [`Ctmc::in_perm`]`()[k]` — then the chain is
+    /// bitwise the one [`Ctmc::refill`] makes.
+    pub(crate) fn refill_transposed(
+        &mut self,
+        rates: impl IntoIterator<Item = f64>,
+        in_rates: impl IntoIterator<Item = f64>,
+    ) {
+        self.rate.clear();
+        self.rate.extend(rates);
+        self.derive_exit();
+        self.in_rate.clear();
+        self.in_rate.extend(in_rates);
+        assert_eq!(self.in_rate.len(), self.nnz(), "one rate per CSR edge");
+    }
+
+    /// The transpose permutation: incoming slot `k` holds outgoing edge
+    /// `in_perm()[k]`.
+    pub(crate) fn in_perm(&self) -> &[u32] {
+        &self.structure.in_perm
+    }
+
+    /// `true` when `other` was re-rated from the same structure as this
+    /// chain (shares it, rather than holding an equal copy).
+    pub(crate) fn shares_structure(&self, other: &Ctmc) -> bool {
+        Arc::ptr_eq(&self.structure, &other.structure)
+    }
+
+    /// A **bare** chain over this chain's structure: it answers
+    /// structural queries (`n_states`, `nnz`, `row_targets`) but holds no
+    /// rates, so it must be refilled before anything reads a rate.
+    pub(crate) fn bare(&self) -> Ctmc {
+        Ctmc {
+            structure: Arc::clone(&self.structure),
+            rate: Vec::new(),
+            exit: Vec::new(),
+            lambda: 0.0,
+            in_rate: Vec::new(),
+        }
+    }
+
+    /// Move this chain's rate arrays out into a chain of their own,
+    /// leaving `self` [bare](Ctmc::bare).  The chain cache uses this to
+    /// lend a cached graph's rate buffers to one request at a time
+    /// instead of keeping a second copy.
+    pub(crate) fn split_rates(&mut self) -> Ctmc {
+        let bare = self.bare();
+        std::mem::replace(self, bare)
     }
 
     /// Number of non-zero rate entries.
     pub fn nnz(&self) -> usize {
-        self.col.len()
+        self.structure.col.len()
     }
 
     /// Targets of the outgoing transitions of state `s`.
     #[inline]
     pub fn row_targets(&self, s: usize) -> &[u32] {
-        &self.col[self.row_ptr[s] as usize..self.row_ptr[s + 1] as usize]
+        let st = &*self.structure;
+        &st.col[st.row_ptr[s] as usize..st.row_ptr[s + 1] as usize]
     }
 
     /// Rates of the outgoing transitions of state `s` (same order as
     /// [`Ctmc::row_targets`]).
     #[inline]
     pub fn row_rates(&self, s: usize) -> &[f64] {
-        &self.rate[self.row_ptr[s] as usize..self.row_ptr[s + 1] as usize]
+        let st = &*self.structure;
+        &self.rate[st.row_ptr[s] as usize..st.row_ptr[s + 1] as usize]
     }
 
     /// Outgoing transitions of state `s` as `(target, rate)` pairs.
@@ -558,11 +676,8 @@ impl Ctmc {
     /// splitter block.
     #[inline]
     pub fn in_edges(&self, j: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
-        let (lo, hi) = (self.in_ptr[j] as usize, self.in_ptr[j + 1] as usize);
-        self.in_src[lo..hi]
-            .iter()
-            .zip(&self.in_rate[lo..hi])
-            .map(|(&i, &r)| (i as usize, r))
+        let (src, rate) = self.in_row(j);
+        src.iter().zip(rate).map(|(&i, &r)| (i as usize, r))
     }
 
     /// Total exit rate of state `s` (cached at construction).
@@ -589,7 +704,7 @@ impl Ctmc {
     /// (`s_inv`) rather than into each of the `k` column entries, and the
     /// back-substitution applies the same factor symbolically.
     pub fn stationary_gth(&self) -> Vec<f64> {
-        let n = self.n;
+        let n = self.n_states();
         assert!(n > 0);
         if n == 1 {
             return vec![1.0];
@@ -659,18 +774,21 @@ impl Ctmc {
     /// by a separate sequential pass in the caller for the same reason:
     /// a chunk-grouped partial sum would make the stopping scalar depend
     /// on the core count).
-    fn power_sweep(&self, pi: &[f64], next: &mut [f64], stay: &[f64]) {
-        let threads = sweep_threads(self.n);
+    fn power_sweep(&self, pi: &[f64], next: &mut [f64], stay: &[f64], prob: &[f64]) {
+        let n = self.n_states();
+        assert!(pi.len() == n && next.len() == n && stay.len() == n);
+        assert_eq!(prob.len(), self.nnz());
+        let threads = sweep_threads(n);
         if threads <= 1 {
-            self.power_sweep_range(pi, next, stay, 0);
+            self.power_sweep_range(pi, next, stay, prob, 0);
             return;
         }
-        let chunk = self.n.div_ceil(threads);
+        let chunk = n.div_ceil(threads);
         std::thread::scope(|scope| {
             for (c, out) in next.chunks_mut(chunk).enumerate() {
                 let start = c * chunk;
                 scope.spawn(move || {
-                    self.power_sweep_range(pi, out, stay, start);
+                    self.power_sweep_range(pi, out, stay, prob, start);
                 });
             }
         });
@@ -680,21 +798,29 @@ impl Ctmc {
     /// `start..start + out.len()` (deterministic: the per-entry reduction
     /// order is the CSR order, independent of chunking).
     #[inline]
-    fn power_sweep_range(&self, pi: &[f64], out: &mut [f64], stay: &[f64], start: usize) {
+    fn power_sweep_range(
+        &self,
+        pi: &[f64],
+        out: &mut [f64],
+        stay: &[f64],
+        prob: &[f64],
+        start: usize,
+    ) {
+        let st = &*self.structure;
         // SAFETY of the `get_unchecked` below: `from_csr` validated that
         // `in_ptr` is non-decreasing with `in_ptr[n] == nnz`, every
-        // `in_src` entry is `< n`, and `pi`/`stay` have length `n`
-        // (asserted by the callers); `start + out.len() ≤ n` holds for
-        // every chunk `power_sweep` creates.
+        // `in_src` entry is `< n`, `pi`/`stay` have length `n` and `prob`
+        // length `nnz` (asserted by `power_sweep`); `start + out.len() ≤
+        // n` holds for every chunk `power_sweep` creates.
         for (dj, v) in out.iter_mut().enumerate() {
             let j = start + dj;
             unsafe {
-                let lo = *self.in_ptr.get_unchecked(j) as usize;
-                let hi = *self.in_ptr.get_unchecked(j + 1) as usize;
+                let lo = *st.in_ptr.get_unchecked(j) as usize;
+                let hi = *st.in_ptr.get_unchecked(j + 1) as usize;
                 let mut acc = *pi.get_unchecked(j) * *stay.get_unchecked(j);
                 for e in lo..hi {
-                    let i = *self.in_src.get_unchecked(e) as usize;
-                    acc += *pi.get_unchecked(i) * *self.in_prob.get_unchecked(e);
+                    let i = *st.in_src.get_unchecked(e) as usize;
+                    acc += *pi.get_unchecked(i) * *prob.get_unchecked(e);
                 }
                 *v = acc;
             }
@@ -711,8 +837,9 @@ impl Ctmc {
     /// [`RRE_WINDOW`]-iterate burst is attempted, kept only when it does
     /// not degrade the stationarity residual.
     pub fn stationary_power(&self, tol: f64, max_iters: usize) -> Vec<f64> {
-        assert!(self.n > 0);
-        let pi0 = vec![1.0 / self.n as f64; self.n];
+        let n = self.n_states();
+        assert!(n > 0);
+        let pi0 = vec![1.0 / n as f64; n];
         self.stationary_power_from(pi0, tol, max_iters).0
     }
 
@@ -734,13 +861,14 @@ impl Ctmc {
         max_iters: usize,
         budget: Option<&Budget>,
     ) -> Result<(Vec<f64>, usize), Interrupt> {
-        let n = self.n;
+        let n = self.n_states();
         assert_eq!(pi.len(), n);
         // Hoisted out of the sweep: stay[j] = 1 − exit[j]/Λ and the
-        // incoming probabilities r/Λ (`in_prob`) are precomputed, so the
+        // incoming probabilities r/Λ are derived once per solve, so the
         // inner loop is one fused multiply-add per nnz with no division.
         let inv_lambda = 1.0 / self.lambda;
         let stay: Vec<f64> = self.exit.iter().map(|&e| 1.0 - e * inv_lambda).collect();
+        let prob: Vec<f64> = self.in_rate.iter().map(|&r| r * inv_lambda).collect();
         let mut next = vec![0.0f64; n];
         // RRE burst state: every RRE_PERIOD sweeps, the next RRE_WINDOW
         // iterates are recorded and extrapolated through their minimal
@@ -751,7 +879,7 @@ impl Ctmc {
         let mut sweeps = 0usize;
         for it in 0..max_iters {
             sweeps = it + 1;
-            self.power_sweep(&pi, &mut next, &stay);
+            self.power_sweep(&pi, &mut next, &stay, &prob);
             // The L1 change is only needed on the sweeps that may stop;
             // computing it 1-in-CHECK_PERIOD keeps the hot path to the
             // sweep alone, and doing it sequentially keeps the stopping
@@ -844,7 +972,7 @@ impl Ctmc {
         max_sweeps: usize,
         budget: Option<&Budget>,
     ) -> Result<(Vec<f64>, usize), Interrupt> {
-        let n = self.n;
+        let n = self.n_states();
         assert!(n > 0);
         if n == 1 {
             return Ok((vec![1.0], 0));
@@ -860,9 +988,9 @@ impl Ctmc {
             }
             let mut max_rel = 0.0f64;
             for j in 0..n {
-                let (lo, hi) = (self.in_ptr[j] as usize, self.in_ptr[j + 1] as usize);
+                let (src, rate) = self.in_row(j);
                 let mut acc = 0.0;
-                for (&i, &r) in self.in_src[lo..hi].iter().zip(&self.in_rate[lo..hi]) {
+                for (&i, &r) in src.iter().zip(rate) {
                     acc += pi[i as usize] * r;
                 }
                 let new = acc / self.exit[j];
@@ -885,7 +1013,7 @@ impl Ctmc {
     /// this chain — size/density crossovers measured with
     /// `perf_snapshot` (see the module docs and `ARCHITECTURE.md`).
     pub fn solver_plan(&self) -> SolverPlan {
-        let n = self.n;
+        let n = self.n_states();
         if n <= GTH_SMALL_N {
             return SolverPlan {
                 primary: Solver::Gth,
@@ -973,7 +1101,7 @@ impl Ctmc {
     ) -> Result<SolveReport, Interrupt> {
         let mut precond = Precond::None;
         let (pi, iterations) = match solver {
-            Solver::Gth => (self.stationary_gth(), self.n),
+            Solver::Gth => (self.stationary_gth(), self.n_states()),
             Solver::GaussSeidel => self.gauss_seidel_budgeted(1e-14, 10_000, budget)?,
             Solver::Gmres => {
                 precond = Precond::Jacobi;
@@ -997,7 +1125,8 @@ impl Ctmc {
                 None => self.sor_counted(crate::krylov::SOR_OMEGA, 1e-14, 10_000),
             },
             Solver::Power => {
-                self.power_budgeted(vec![1.0 / self.n as f64; self.n], 1e-13, 200_000, budget)?
+                let n = self.n_states();
+                self.power_budgeted(vec![1.0 / n as f64; n], 1e-13, 200_000, budget)?
             }
         };
         let residual = self.stationarity_residual(&pi);
@@ -1027,7 +1156,7 @@ impl Ctmc {
         plan: SolverPlan,
         budget: Option<&Budget>,
     ) -> Result<SolveReport, Interrupt> {
-        let n = self.n;
+        let n = self.n_states();
         let scale = self.max_rate().max(1e-300);
         let tol = GS_RESIDUAL_TOL * scale;
         match plan.primary {
@@ -1103,14 +1232,17 @@ impl Ctmc {
     /// incoming CSR exactly like the power sweep, so it is bitwise
     /// deterministic for any thread count.  This is the GMRES matvec.
     pub(crate) fn apply_q(&self, x: &[f64], out: &mut [f64]) {
-        assert_eq!(x.len(), self.n);
-        assert_eq!(out.len(), self.n);
-        let threads = sweep_threads(self.n);
+        let n = self.n_states();
+        assert_eq!(x.len(), n);
+        assert_eq!(out.len(), n);
+        // A bare chain (see `split_rates`) has no rates to read.
+        assert!(self.exit.len() == n && self.in_rate.len() == self.nnz());
+        let threads = sweep_threads(n);
         if threads <= 1 {
             self.apply_q_range(x, out, 0);
             return;
         }
-        let chunk = self.n.div_ceil(threads);
+        let chunk = n.div_ceil(threads);
         std::thread::scope(|scope| {
             for (c, o) in out.chunks_mut(chunk).enumerate() {
                 let start = c * chunk;
@@ -1125,17 +1257,19 @@ impl Ctmc {
     /// `start..start + out.len()`.
     #[inline]
     fn apply_q_range(&self, x: &[f64], out: &mut [f64], start: usize) {
+        let st = &*self.structure;
         // SAFETY: same invariants as `power_sweep_range` — `from_csr`
-        // validated the incoming CSR, `x` has length `n` (asserted by
-        // `apply_q`), and every chunk satisfies `start + out.len() <= n`.
+        // validated the incoming CSR, `x` has length `n` and the rate
+        // arrays their full size (asserted by `apply_q`), and every chunk
+        // satisfies `start + out.len() <= n`.
         for (dj, v) in out.iter_mut().enumerate() {
             let j = start + dj;
             unsafe {
-                let lo = *self.in_ptr.get_unchecked(j) as usize;
-                let hi = *self.in_ptr.get_unchecked(j + 1) as usize;
+                let lo = *st.in_ptr.get_unchecked(j) as usize;
+                let hi = *st.in_ptr.get_unchecked(j + 1) as usize;
                 let mut acc = -*x.get_unchecked(j) * *self.exit.get_unchecked(j);
                 for e in lo..hi {
-                    let i = *self.in_src.get_unchecked(e) as usize;
+                    let i = *st.in_src.get_unchecked(e) as usize;
                     acc += *x.get_unchecked(i) * *self.in_rate.get_unchecked(e);
                 }
                 *v = acc;
@@ -1147,19 +1281,19 @@ impl Ctmc {
     /// zero-overhead view the SOR sweep in [`crate::krylov`] iterates.
     #[inline]
     pub(crate) fn in_row(&self, j: usize) -> (&[u32], &[f64]) {
-        let (lo, hi) = (self.in_ptr[j] as usize, self.in_ptr[j + 1] as usize);
-        (&self.in_src[lo..hi], &self.in_rate[lo..hi])
+        let st = &*self.structure;
+        let (lo, hi) = (st.in_ptr[j] as usize, st.in_ptr[j + 1] as usize);
+        (&st.in_src[lo..hi], &self.in_rate[lo..hi])
     }
 
     /// Verify `π Q = 0` (stationarity residual, max-norm) — used by tests
     /// and by the Gauss–Seidel acceptance check.
     pub fn stationarity_residual(&self, pi: &[f64]) -> f64 {
-        let n = self.n;
         let mut worst = 0.0f64;
-        for j in 0..n {
-            let (lo, hi) = (self.in_ptr[j] as usize, self.in_ptr[j + 1] as usize);
+        for j in 0..self.n_states() {
+            let (src, rate) = self.in_row(j);
             let mut acc = -pi[j] * self.exit[j];
-            for (&i, &r) in self.in_src[lo..hi].iter().zip(&self.in_rate[lo..hi]) {
+            for (&i, &r) in src.iter().zip(rate) {
                 acc += pi[i as usize] * r;
             }
             worst = worst.max(acc.abs());

@@ -42,8 +42,8 @@
 //! * [`cache`] — structure-keyed chain reuse for batch evaluation:
 //!   marking graphs (and their symmetry orbit seeds) cached per
 //!   [`TpnSignature`](repstream_petri::tpn::TpnSignature) / pattern shape,
-//!   with `O(nnz)` CSR rate refills on hits
-//!   ([`MarkingGraph::ctmc_with_trans_rates`](marking::MarkingGraph::ctmc_with_trans_rates));
+//!   with `O(nnz)` in-place rate refills of recycled buffers on hits
+//!   ([`MarkingGraph::refill_trans_rates`](marking::MarkingGraph::refill_trans_rates));
 //! * [`transient`] — finite-horizon analysis by uniformization: `π(t)` and
 //!   the expected completions over `[0, t]` (the analytic counterpart of
 //!   the paper's throughput-vs-data-sets curves);

@@ -1214,6 +1214,10 @@ pub struct MarkingGraph {
     /// `enabled_idx[enabled_ptr[s]..enabled_ptr[s+1]]`.
     enabled_ptr: Vec<u32>,
     enabled_idx: Vec<u32>,
+    /// `enabled_idx` in the chain's transposed edge order: incoming slot
+    /// `k` was produced by firing transition `in_trans[k]` — the refill
+    /// map of the incoming rates.
+    in_trans: Vec<u32>,
     /// Storage accounting captured at the end of the build.
     arena_stats: ArenaStats,
 }
@@ -1606,6 +1610,29 @@ impl GraphBuilder {
 }
 
 impl MarkingGraph {
+    /// A finished build, with the transposed refill map derived.
+    fn assemble(
+        states: MarkingStore,
+        ctmc: Ctmc,
+        enabled_ptr: Vec<u32>,
+        enabled_idx: Vec<u32>,
+        arena_stats: ArenaStats,
+    ) -> MarkingGraph {
+        let in_trans = ctmc
+            .in_perm()
+            .iter()
+            .map(|&e| enabled_idx[e as usize])
+            .collect();
+        MarkingGraph {
+            states,
+            ctmc,
+            enabled_ptr,
+            enabled_idx,
+            in_trans,
+            arena_stats,
+        }
+    }
+
     /// Explore the reachable markings of `net`.
     pub fn build(net: &EventNet, opts: MarkingOptions) -> Result<Self, MarkingError> {
         // State ids are u32 in the interner and the CSR, and the parallel
@@ -1816,13 +1843,13 @@ impl MarkingGraph {
             spill_bytes: arena.spill_bytes(),
             compressed: arena.is_compressed(),
         };
-        Ok(MarkingGraph {
-            states: MarkingStore::from_arena(arena),
-            ctmc: out.csr.finish(),
-            enabled_ptr: out.enabled_ptr,
-            enabled_idx: out.enabled_idx,
+        Ok(MarkingGraph::assemble(
+            MarkingStore::from_arena(arena),
+            out.csr.finish(),
+            out.enabled_ptr,
+            out.enabled_idx,
             arena_stats,
-        })
+        ))
     }
 
     /// Worker of the parallel plain BFS: scan the rows of `states` (a
@@ -2024,13 +2051,13 @@ impl MarkingGraph {
             spill_bytes: 0,
             compressed: false,
         };
-        Ok(MarkingGraph {
-            states: MarkingStore::from_flat(width, data),
-            ctmc: out.csr.finish(),
-            enabled_ptr: out.enabled_ptr,
-            enabled_idx: out.enabled_idx,
+        Ok(MarkingGraph::assemble(
+            MarkingStore::from_flat(width, data),
+            out.csr.finish(),
+            out.enabled_ptr,
+            out.enabled_idx,
             arena_stats,
-        })
+        ))
     }
 
     /// Number of reachable markings.
@@ -2158,18 +2185,37 @@ impl MarkingGraph {
     /// `trans_rates[edge_transitions()[e]]`.  Bitwise identical to
     /// rebuilding the marking graph of a net with those rates (the BFS
     /// order depends only on structure), at `O(nnz)` instead of a full
-    /// BFS + interning pass.
+    /// BFS + interning pass.  The new chain shares this graph's chain
+    /// structure; only its rate arrays are allocated.
     ///
     /// # Panics
     /// Panics if `trans_rates` is shorter than the net's transition count
     /// or contains a non-positive rate.
     pub fn ctmc_with_trans_rates(&self, trans_rates: &[f64]) -> Ctmc {
-        let rate: Vec<f64> = self
-            .enabled_idx
-            .iter()
-            .map(|&t| trans_rates[t as usize])
-            .collect();
-        self.ctmc.with_rates(rate)
+        let mut chain = self.ctmc.bare();
+        self.refill_trans_rates(&mut chain, trans_rates);
+        chain
+    }
+
+    /// [`MarkingGraph::ctmc_with_trans_rates`] into the buffers of
+    /// `chain`, a chain re-rated earlier from this graph: the same bits,
+    /// with no allocation.  Both the outgoing and the incoming rates are
+    /// read straight off the small `trans_rates` table, through the
+    /// edge→transition map and its transpose.
+    ///
+    /// # Panics
+    /// Panics if `chain` does not share this graph's chain structure, or
+    /// as [`MarkingGraph::ctmc_with_trans_rates`].
+    pub fn refill_trans_rates(&self, chain: &mut Ctmc, trans_rates: &[f64]) {
+        assert!(
+            chain.shares_structure(&self.ctmc),
+            "chain was not re-rated from this graph"
+        );
+        let rate_of = |&t: &u32| trans_rates[t as usize];
+        chain.refill_transposed(
+            self.enabled_idx.iter().map(rate_of),
+            self.in_trans.iter().map(rate_of),
+        );
     }
 
     /// Stationary firing rate of every transition:
@@ -3165,15 +3211,36 @@ impl QuotientGraph {
     /// Panics if `trans_rates` is shorter than the net's transition count
     /// or a summed edge rate is non-positive.
     pub fn ctmc_with_trans_rates(&self, trans_rates: &[f64]) -> Ctmc {
-        let rate: Vec<f64> = (0..self.ctmc.nnz())
-            .map(|e| {
-                self.edge_trans[self.edge_ptr[e] as usize..self.edge_ptr[e + 1] as usize]
-                    .iter()
-                    .map(|&t| trans_rates[t as usize])
-                    .sum()
-            })
-            .collect();
-        self.ctmc.with_rates(rate)
+        let mut chain = self.ctmc.bare();
+        self.refill_trans_rates(&mut chain, trans_rates);
+        chain
+    }
+
+    /// [`QuotientGraph::ctmc_with_trans_rates`] into the buffers of
+    /// `chain`, a chain re-rated earlier from this quotient: the same
+    /// bits, with no allocation.
+    ///
+    /// # Panics
+    /// Panics if `chain` does not share this quotient's chain structure,
+    /// or as [`QuotientGraph::ctmc_with_trans_rates`].
+    pub fn refill_trans_rates(&self, chain: &mut Ctmc, trans_rates: &[f64]) {
+        assert!(
+            chain.shares_structure(&self.ctmc),
+            "chain was not re-rated from this quotient"
+        );
+        chain.refill(self.edge_rates(trans_rates));
+    }
+
+    /// Edge rates, in CSR edge order, of the quotient re-rated from
+    /// per-transition rates: each edge sums its contributing transitions
+    /// in the order the BFS aggregated them.
+    fn edge_rates<'a>(&'a self, trans_rates: &'a [f64]) -> impl Iterator<Item = f64> + 'a {
+        self.edge_ptr.windows(2).map(|w| {
+            self.edge_trans[w[0] as usize..w[1] as usize]
+                .iter()
+                .map(|&t| trans_rates[t as usize])
+                .sum()
+        })
     }
 
     /// Orbit-aggregated stationary firing rates:

@@ -219,3 +219,135 @@ fn shard_counts_round_up_and_solve_identically() {
         assert_eq!(sol.throughput.to_bits(), expected, "shards={shards}");
     }
 }
+
+#[test]
+fn eight_concurrent_cold_requests_build_once() {
+    let shape = MappingShape::new(vec![3, 4]);
+    let rates = het_rates(&shape);
+    let opts = StrictOptions::default();
+    let expected = cold_strict(&shape, &rates, opts).to_bits();
+
+    let cache = SharedChainCache::new();
+    let start = std::sync::Barrier::new(8);
+    let results: Vec<(u64, bool)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..8)
+            .map(|_| {
+                s.spawn(|| {
+                    start.wait();
+                    let sol = cache
+                        .strict_throughput(&shape, &rates, opts)
+                        .expect("concurrent solve");
+                    (sol.throughput.to_bits(), sol.cache_hit)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("solver thread"))
+            .collect()
+    });
+
+    for (i, &(bits, _)) in results.iter().enumerate() {
+        assert_eq!(bits, expected, "request {i} diverged from the cold solve");
+    }
+    let stats = cache.stats();
+    assert_eq!(stats.strict_misses, 1, "one BFS for one shape: {stats:?}");
+    assert_eq!(stats.strict_hits, 7, "{stats:?}");
+    assert_eq!(results.iter().filter(|(_, hit)| !hit).count(), 1);
+}
+
+#[test]
+fn warm_hit_completes_while_another_shape_builds_on_the_same_shard() {
+    use std::sync::atomic::Ordering;
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
+
+    static CANCEL_B: AtomicBool = AtomicBool::new(false);
+    const BOUND: Duration = Duration::from_secs(60);
+
+    // One shard: A and B share its mutex.
+    let cache = SharedChainCache::with_shards(1);
+    let shape_a = MappingShape::new(vec![2, 3]);
+    let rates_a = het_rates(&shape_a);
+    let opts = StrictOptions {
+        threads: 1,
+        ..Default::default()
+    };
+    let expected_a = cold_strict(&shape_a, &rates_a, opts).to_bits();
+    cache
+        .strict_throughput(&shape_a, &rates_a, opts)
+        .expect("prime A");
+
+    // B: a full chain far beyond anything the test lets finish, held
+    // open until its cancel flag is raised.  The arena cap only bounds
+    // memory should the flag never come.
+    let shape_b = MappingShape::new(vec![6, 7]);
+    let rates_b = het_rates(&shape_b);
+    let opts_b = StrictOptions {
+        budget: Budget::UNLIMITED
+            .cancelled_by(&CANCEL_B)
+            .arena_cap(128 << 20),
+        ..opts
+    };
+
+    let (cache, shape_a, rates_a) = (&cache, &shape_a, &rates_a);
+    let (shape_b, rates_b) = (&shape_b, &rates_b);
+    std::thread::scope(|s| {
+        let (b_tx, b_rx) = mpsc::channel();
+        s.spawn(move || {
+            let r = cache.strict_throughput(shape_b, rates_b, opts_b);
+            b_tx.send(r.map(|sol| sol.throughput)).ok();
+        });
+        // Bounded wait for B's build to start (its miss is counted as it
+        // takes the build latch).
+        let t0 = Instant::now();
+        while cache.stats().strict_misses < 2 {
+            assert!(t0.elapsed() < BOUND, "B's build never started");
+            std::thread::yield_now();
+        }
+
+        // A warm hit on A, on the same shard, while B builds.
+        let (a_tx, a_rx) = mpsc::channel();
+        s.spawn(move || {
+            let r = cache.strict_throughput(shape_a, rates_a, opts);
+            a_tx.send(r.map(|sol| (sol.throughput.to_bits(), sol.cache_hit)))
+                .ok();
+        });
+        let a = a_rx.recv_timeout(BOUND);
+        let b_still_building = matches!(b_rx.try_recv(), Err(mpsc::TryRecvError::Empty));
+        if a.is_err() || !b_still_building {
+            CANCEL_B.store(true, Ordering::Relaxed);
+        }
+        let (bits, hit) = a
+            .expect("warm hit on A did not finish while B was building")
+            .expect("A solves");
+        assert!(
+            b_still_building,
+            "A returned only after B's build ended: the shard lock covers builds"
+        );
+        assert!(hit, "A must be served from the cache");
+        assert_eq!(bits, expected_a, "warm A diverged from its cold solve");
+
+        // A request for B itself waits on B's build latch, but honours
+        // its own deadline while waiting.
+        let waiter = StrictOptions {
+            budget: Budget::deadline_in(Duration::from_millis(50)),
+            ..opts
+        };
+        let err = cache
+            .strict_throughput(shape_b, rates_b, waiter)
+            .expect_err("B is still building");
+        assert!(err.interrupt().is_some(), "{err:?}");
+
+        CANCEL_B.store(true, Ordering::Relaxed);
+        let b = b_rx.recv_timeout(BOUND).expect("B stops once cancelled");
+        let err = b.expect_err("cancelled build");
+        assert!(err.interrupt().is_some(), "{err:?}");
+    });
+
+    // The cancelled build left nothing behind: B misses again.
+    let misses = cache.stats().strict_misses;
+    let again = cache.strict_throughput(shape_b, rates_b, opts_b);
+    assert!(again.is_err(), "the flag is still raised");
+    assert_eq!(cache.stats().strict_misses, misses + 1);
+}
