@@ -79,15 +79,6 @@ impl CacheStats {
     pub fn misses(&self) -> usize {
         self.pattern_misses + self.strict_misses
     }
-
-    fn bump(&mut self, event: Event) {
-        *match event {
-            Event::PatternHit => &mut self.pattern_hits,
-            Event::PatternMiss => &mut self.pattern_misses,
-            Event::StrictHit => &mut self.strict_hits,
-            Event::StrictMiss => &mut self.strict_misses,
-        } += 1;
-    }
 }
 
 /// One counted cache outcome.
@@ -99,7 +90,7 @@ enum Event {
     StrictMiss,
 }
 
-/// [`CacheStats`] as atomics, so the shared cache counts without a lock.
+/// [`CacheStats`] as atomics, so a cache counts without a lock.
 #[derive(Debug, Default)]
 struct AtomicStats([AtomicUsize; 4]);
 
@@ -307,7 +298,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// One cached structure, through its life.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 enum Slot<G> {
     /// Not built (or its last build failed).
     #[default]
@@ -355,7 +346,7 @@ impl StrictHead {
 /// direct quotient — the full graph, `m` times larger, is never
 /// materialized for them — while heterogeneous candidates build the full
 /// graph.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct StrictEntry {
     head: Arc<StrictHead>,
     /// Direct quotient structure (first orbit-invariant candidate).
@@ -365,7 +356,7 @@ struct StrictEntry {
 }
 
 /// The maps of one cache shard.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct Shard {
     patterns: FxHashMap<(usize, usize), Slot<MarkingGraph>>,
     strict: FxHashMap<TpnSignature, StrictEntry>,
@@ -384,13 +375,23 @@ impl Shard {
     }
 }
 
-/// Short critical sections over one shard: plain access for the
-/// exclusive [`ChainCache`], a shard-mutex acquisition per call for the
-/// [`SharedChainCache`].  Nothing slow — no build, refill or solve — ever
-/// runs inside `with`.
-trait ShardAccess {
-    fn with<R>(&mut self, f: impl FnOnce(&mut Shard) -> R) -> R;
-    fn record(&mut self, event: Event);
+/// One shard of a cache and the counters it reports to.  Every access
+/// to the shard is a short critical section under its mutex ([`Locked::with`]);
+/// nothing slow — no build, refill or solve — ever runs inside one.
+#[derive(Clone, Copy)]
+struct Locked<'a> {
+    shard: &'a Mutex<Shard>,
+    stats: &'a AtomicStats,
+}
+
+impl Locked<'_> {
+    fn with<R>(self, f: impl FnOnce(&mut Shard) -> R) -> R {
+        f(&mut lock(self.shard))
+    }
+
+    fn record(self, event: Event) {
+        self.stats.bump(event);
+    }
 }
 
 /// Names one slot of a shard.
@@ -400,13 +401,13 @@ type SlotOf<'a, G> = &'a dyn Fn(&mut Shard) -> &mut Slot<G>;
 /// Dropping the ticket without [`BuildTicket::install`] — a failed,
 /// interrupted or panicking build — empties the slot again, so no entry
 /// is left behind; either way the waiters are released.
-struct BuildTicket<'a, A: ShardAccess, G> {
-    access: &'a mut A,
+struct BuildTicket<'a, G> {
+    access: Locked<'a>,
     slot_of: SlotOf<'a, G>,
     latch: Arc<Latch>,
 }
 
-impl<A: ShardAccess, G> BuildTicket<'_, A, G> {
+impl<G> BuildTicket<'_, G> {
     fn install(self, graph: Arc<G>) {
         let slot_of = self.slot_of;
         self.access.with(|shard| {
@@ -415,7 +416,7 @@ impl<A: ShardAccess, G> BuildTicket<'_, A, G> {
     }
 }
 
-impl<A: ShardAccess, G> Drop for BuildTicket<'_, A, G> {
+impl<G> Drop for BuildTicket<'_, G> {
     fn drop(&mut self) {
         let (slot_of, latch) = (self.slot_of, &self.latch);
         self.access.with(|shard| {
@@ -472,8 +473,8 @@ struct Cached<G> {
 /// and hand the chain's buffers back.  Only the slot lookup, the install
 /// of a new build and the hand-back touch the shard.
 #[allow(clippy::too_many_arguments)]
-fn solve_cached<A: ShardAccess, G: CachedGraph>(
-    access: &mut A,
+fn solve_cached<G: CachedGraph>(
+    access: Locked<'_>,
     slot_of: SlotOf<'_, G>,
     kind: Kind,
     build: impl FnOnce() -> Result<G, MarkingError>,
@@ -520,7 +521,7 @@ fn solve_cached<A: ShardAccess, G: CachedGraph>(
         Err(latch) => {
             access.record(kind.miss);
             let ticket = BuildTicket {
-                access: &mut *access,
+                access,
                 slot_of,
                 latch,
             };
@@ -554,9 +555,9 @@ fn solve_cached<A: ShardAccess, G: CachedGraph>(
     })
 }
 
-/// [`ChainCache::pattern_throughput`] over any shard access.
+/// [`ChainCache::pattern_throughput`] over one shard.
 fn pattern_throughput(
-    access: &mut impl ShardAccess,
+    access: Locked<'_>,
     rate: &[Vec<f64>],
     max_states: usize,
 ) -> Result<f64, MarkingError> {
@@ -593,9 +594,9 @@ fn pattern_throughput(
     Ok(solved.throughput)
 }
 
-/// [`ChainCache::strict_throughput`] over any shard access.
+/// [`ChainCache::strict_throughput`] over one shard.
 fn strict_throughput(
-    access: &mut impl ShardAccess,
+    access: Locked<'_>,
     shape: &MappingShape,
     rates: &ResourceTable<f64>,
     opts: StrictOptions,
@@ -689,8 +690,9 @@ fn strict_throughput(
 /// A cache of marking-graph structures keyed by chain shape.
 ///
 /// See the module docs for the reuse contract.  One cache serves one
-/// search (or one worker thread of a parallel search); it is deliberately
-/// not synchronized.
+/// search (or one worker thread of a parallel search).  It is a
+/// one-shard [`SharedChainCache`] behind `&mut self`: the same solve
+/// path, whose uncontended shard lock costs nothing next to a refill.
 ///
 /// # Warm reuse
 ///
@@ -722,20 +724,10 @@ fn strict_throughput(
 ///     .unwrap();
 /// assert_eq!(warm.throughput.to_bits(), fresh.throughput.to_bits());
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct ChainCache {
-    shard: Shard,
-    stats: CacheStats,
-}
-
-impl ShardAccess for ChainCache {
-    fn with<R>(&mut self, f: impl FnOnce(&mut Shard) -> R) -> R {
-        f(&mut self.shard)
-    }
-
-    fn record(&mut self, event: Event) {
-        self.stats.bump(event);
-    }
+    shard: Mutex<Shard>,
+    stats: AtomicStats,
 }
 
 impl ChainCache {
@@ -746,7 +738,15 @@ impl ChainCache {
 
     /// Hit/miss counters so far.
     pub fn stats(&self) -> CacheStats {
-        self.stats
+        self.stats.load()
+    }
+
+    /// The cache's one shard.
+    fn access(&self) -> Locked<'_> {
+        Locked {
+            shard: &self.shard,
+            stats: &self.stats,
+        }
     }
 
     /// Exact inner throughput of a pattern with per-link exponential
@@ -760,7 +760,7 @@ impl ChainCache {
         rate: &[Vec<f64>],
         max_states: usize,
     ) -> Result<f64, MarkingError> {
-        pattern_throughput(self, rate, max_states)
+        pattern_throughput(self.access(), rate, max_states)
     }
 
     /// Exact Strict-model throughput through the global marking chain —
@@ -784,7 +784,7 @@ impl ChainCache {
         rates: &ResourceTable<f64>,
         opts: StrictOptions,
     ) -> Result<StrictSolve, MarkingError> {
-        strict_throughput(self, shape, rates, opts)
+        strict_throughput(self.access(), shape, rates, opts)
     }
 }
 
@@ -843,22 +843,6 @@ impl Default for SharedChainCache {
     }
 }
 
-/// One locked-per-call shard of a [`SharedChainCache`].
-struct Locked<'a> {
-    shard: &'a Mutex<Shard>,
-    stats: &'a AtomicStats,
-}
-
-impl ShardAccess for Locked<'_> {
-    fn with<R>(&mut self, f: impl FnOnce(&mut Shard) -> R) -> R {
-        f(&mut lock(self.shard))
-    }
-
-    fn record(&mut self, event: Event) {
-        self.stats.bump(event);
-    }
-}
-
 impl SharedChainCache {
     /// Default shard count of [`SharedChainCache::new`].
     pub const DEFAULT_SHARDS: usize = 16;
@@ -905,7 +889,7 @@ impl SharedChainCache {
         max_states: usize,
     ) -> Result<f64, MarkingError> {
         let key = (rate.len(), rate.first().map_or(0, Vec::len));
-        pattern_throughput(&mut self.shard_for(&key), rate, max_states)
+        pattern_throughput(self.shard_for(&key), rate, max_states)
     }
 
     /// Concurrent equivalent of [`ChainCache::strict_throughput`]:
@@ -917,7 +901,7 @@ impl SharedChainCache {
         opts: StrictOptions,
     ) -> Result<StrictSolve, MarkingError> {
         let key = TpnSignature::of(shape, ExecModel::Strict);
-        strict_throughput(&mut self.shard_for(&key), shape, rates, opts)
+        strict_throughput(self.shard_for(&key), shape, rates, opts)
     }
 
     /// Hit/miss counters summed over every shard (read without locking).

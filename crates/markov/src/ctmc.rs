@@ -520,20 +520,10 @@ impl Ctmc {
     }
 
     /// Check the outgoing rates and derive the rest from them: exit rates
-    /// and `Λ` ([`Ctmc::derive_exit`]), and the incoming rates gathered
-    /// through the transpose permutation.
+    /// summed in row order, `Λ`, and the incoming rates gathered through
+    /// the transpose permutation.  Writes into the existing buffers, so a
+    /// chain refilled at its own size allocates nothing.
     fn derive_rates(&mut self) {
-        self.derive_exit();
-        let (st, rate) = (&*self.structure, &self.rate);
-        self.in_rate.clear();
-        self.in_rate
-            .extend(st.in_perm.iter().map(|&e| rate[e as usize]));
-    }
-
-    /// Check the outgoing rates, then sum the exit rates in row order and
-    /// take `Λ`.  Writes into the existing buffers, so a chain refilled at
-    /// its own size allocates nothing.
-    fn derive_exit(&mut self) {
         let (st, rate) = (&*self.structure, &self.rate);
         assert_eq!(rate.len(), st.col.len(), "one rate per CSR edge");
         self.exit.clear();
@@ -546,6 +536,9 @@ impl Ctmc {
             row.iter().sum::<f64>()
         }));
         self.lambda = (self.exit.iter().fold(0.0f64, |m, &e| m.max(e)) * 1.1).max(1e-300);
+        self.in_rate.clear();
+        self.in_rate
+            .extend(st.in_perm.iter().map(|&e| rate[e as usize]));
     }
 
     /// Number of states.
@@ -586,30 +579,6 @@ impl Ctmc {
         self.rate.clear();
         self.rate.extend(rates);
         self.derive_rates();
-    }
-
-    /// [`Ctmc::refill`] with the incoming rates supplied too, for callers
-    /// that can produce them without the transpose permutation's random
-    /// reads: `in_rates` must yield, for every incoming slot `k`, the rate
-    /// of outgoing edge [`Ctmc::in_perm`]`()[k]` — then the chain is
-    /// bitwise the one [`Ctmc::refill`] makes.
-    pub(crate) fn refill_transposed(
-        &mut self,
-        rates: impl IntoIterator<Item = f64>,
-        in_rates: impl IntoIterator<Item = f64>,
-    ) {
-        self.rate.clear();
-        self.rate.extend(rates);
-        self.derive_exit();
-        self.in_rate.clear();
-        self.in_rate.extend(in_rates);
-        assert_eq!(self.in_rate.len(), self.nnz(), "one rate per CSR edge");
-    }
-
-    /// The transpose permutation: incoming slot `k` holds outgoing edge
-    /// `in_perm()[k]`.
-    pub(crate) fn in_perm(&self) -> &[u32] {
-        &self.structure.in_perm
     }
 
     /// `true` when `other` was re-rated from the same structure as this

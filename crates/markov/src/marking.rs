@@ -1214,10 +1214,6 @@ pub struct MarkingGraph {
     /// `enabled_idx[enabled_ptr[s]..enabled_ptr[s+1]]`.
     enabled_ptr: Vec<u32>,
     enabled_idx: Vec<u32>,
-    /// `enabled_idx` in the chain's transposed edge order: incoming slot
-    /// `k` was produced by firing transition `in_trans[k]` — the refill
-    /// map of the incoming rates.
-    in_trans: Vec<u32>,
     /// Storage accounting captured at the end of the build.
     arena_stats: ArenaStats,
 }
@@ -1610,29 +1606,6 @@ impl GraphBuilder {
 }
 
 impl MarkingGraph {
-    /// A finished build, with the transposed refill map derived.
-    fn assemble(
-        states: MarkingStore,
-        ctmc: Ctmc,
-        enabled_ptr: Vec<u32>,
-        enabled_idx: Vec<u32>,
-        arena_stats: ArenaStats,
-    ) -> MarkingGraph {
-        let in_trans = ctmc
-            .in_perm()
-            .iter()
-            .map(|&e| enabled_idx[e as usize])
-            .collect();
-        MarkingGraph {
-            states,
-            ctmc,
-            enabled_ptr,
-            enabled_idx,
-            in_trans,
-            arena_stats,
-        }
-    }
-
     /// Explore the reachable markings of `net`.
     pub fn build(net: &EventNet, opts: MarkingOptions) -> Result<Self, MarkingError> {
         // State ids are u32 in the interner and the CSR, and the parallel
@@ -1843,13 +1816,13 @@ impl MarkingGraph {
             spill_bytes: arena.spill_bytes(),
             compressed: arena.is_compressed(),
         };
-        Ok(MarkingGraph::assemble(
-            MarkingStore::from_arena(arena),
-            out.csr.finish(),
-            out.enabled_ptr,
-            out.enabled_idx,
+        Ok(MarkingGraph {
+            states: MarkingStore::from_arena(arena),
+            ctmc: out.csr.finish(),
+            enabled_ptr: out.enabled_ptr,
+            enabled_idx: out.enabled_idx,
             arena_stats,
-        ))
+        })
     }
 
     /// Worker of the parallel plain BFS: scan the rows of `states` (a
@@ -2051,13 +2024,13 @@ impl MarkingGraph {
             spill_bytes: 0,
             compressed: false,
         };
-        Ok(MarkingGraph::assemble(
-            MarkingStore::from_flat(width, data),
-            out.csr.finish(),
-            out.enabled_ptr,
-            out.enabled_idx,
+        Ok(MarkingGraph {
+            states: MarkingStore::from_flat(width, data),
+            ctmc: out.csr.finish(),
+            enabled_ptr: out.enabled_ptr,
+            enabled_idx: out.enabled_idx,
             arena_stats,
-        ))
+        })
     }
 
     /// Number of reachable markings.
@@ -2199,9 +2172,7 @@ impl MarkingGraph {
 
     /// [`MarkingGraph::ctmc_with_trans_rates`] into the buffers of
     /// `chain`, a chain re-rated earlier from this graph: the same bits,
-    /// with no allocation.  Both the outgoing and the incoming rates are
-    /// read straight off the small `trans_rates` table, through the
-    /// edge→transition map and its transpose.
+    /// with no allocation.
     ///
     /// # Panics
     /// Panics if `chain` does not share this graph's chain structure, or
@@ -2211,11 +2182,7 @@ impl MarkingGraph {
             chain.shares_structure(&self.ctmc),
             "chain was not re-rated from this graph"
         );
-        let rate_of = |&t: &u32| trans_rates[t as usize];
-        chain.refill_transposed(
-            self.enabled_idx.iter().map(rate_of),
-            self.in_trans.iter().map(rate_of),
-        );
+        chain.refill(self.enabled_idx.iter().map(|&t| trans_rates[t as usize]));
     }
 
     /// Stationary firing rate of every transition:
